@@ -7,7 +7,7 @@
      bench/main.exe               run everything
      bench/main.exe <name>...     run selected experiments
    Names: table1 table2 table3 table4 table5 fig3 fig10 fig11 fig12
-          fig13 fig14 boottime sstc q1 q4 trace fuzz sym ips explore
+          fig13 fig14 boottime sstc q1 q4 trace sym ips explore ace
           fleet lint micro *)
 
 module T = Mir_experiments.Exp_tables
@@ -193,44 +193,6 @@ let ips_bench () =
     bstats.Mir_rv.Block.interp_instrs;
   close_out oc;
   print_endline "  wrote BENCH_ips.json"
-
-(* ------------------------------------------------------------------ *)
-(* Differential fuzzing throughput and coverage (BENCH_fuzz.json)      *)
-(* ------------------------------------------------------------------ *)
-
-let fuzz_bench () =
-  print_endline "\nDifferential fuzzing throughput";
-  print_endline "===============================";
-  let max_execs = 50_000 in
-  let r =
-    Mir_fuzz.Fuzzer.run ~seed:Miralis.Config.default_seed ~max_execs ()
-  in
-  let edges = Mir_fuzz.Coverage.edges r.Mir_fuzz.Fuzzer.coverage in
-  Printf.printf "  %d execs in %.2fs: %.0f execs/sec\n"
-    r.Mir_fuzz.Fuzzer.execs r.Mir_fuzz.Fuzzer.seconds
-    r.Mir_fuzz.Fuzzer.execs_per_sec;
-  Printf.printf "  coverage: %d edges, corpus: %d inputs, diverged: %b\n"
-    edges
-    (List.length r.Mir_fuzz.Fuzzer.corpus)
-    (r.Mir_fuzz.Fuzzer.divergence <> None);
-  let curve =
-    String.concat ", "
-      (List.map
-         (fun (execs, e) -> Printf.sprintf "[%d, %d]" execs e)
-         r.Mir_fuzz.Fuzzer.curve)
-  in
-  let oc = open_out "BENCH_fuzz.json" in
-  Printf.fprintf oc
-    "{\n  \"execs\": %d,\n  \"seconds\": %.3f,\n  \"execs_per_sec\": %.0f,\n  \
-     \"edges\": %d,\n  \"corpus\": %d,\n  \"diverged\": %b,\n  \
-     \"coverage_curve\": [%s]\n}\n"
-    r.Mir_fuzz.Fuzzer.execs r.Mir_fuzz.Fuzzer.seconds
-    r.Mir_fuzz.Fuzzer.execs_per_sec edges
-    (List.length r.Mir_fuzz.Fuzzer.corpus)
-    (r.Mir_fuzz.Fuzzer.divergence <> None)
-    curve;
-  close_out oc;
-  print_endline "  wrote BENCH_fuzz.json"
 
 (* ------------------------------------------------------------------ *)
 (* Schedule-exploration throughput (BENCH_explore.json)                *)
@@ -705,7 +667,6 @@ let () =
   | [] ->
       List.iter (fun (_, f) -> f ()) experiments;
       trace_bench ();
-      fuzz_bench ();
       sym_bench ();
       ips_bench ();
       explore_bench ();
@@ -718,7 +679,6 @@ let () =
         (fun name ->
           if name = "micro" then micro ()
           else if name = "trace" then trace_bench ()
-          else if name = "fuzz" then fuzz_bench ()
           else if name = "sym" then sym_bench ()
           else if name = "ips" then ips_bench ()
           else if name = "explore" then explore_bench ()
@@ -730,8 +690,8 @@ let () =
             | Some f -> f ()
             | None ->
                 Printf.eprintf
-                  "unknown experiment %S; known: %s trace fuzz sym ips \
-                   explore ace fleet lint micro\n"
+                  "unknown experiment %S; known: %s trace sym ips explore \
+                   ace fleet lint micro\n"
                   name
                   (String.concat " " (List.map fst experiments)))
         names);

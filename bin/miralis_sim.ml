@@ -260,6 +260,14 @@ let run_term =
 (* verify                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A one-line usage error, exit 2. *)
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("miralis-sim: " ^ msg);
+      exit 2)
+    fmt
+
 let parse_bug = function
   | "" -> None
   | "mpp" -> Some Miralis.Config.Mpp_not_legalized
@@ -267,7 +275,11 @@ let parse_bug = function
   | "vpmp-overrun" -> Some Miralis.Config.Vpmp_overrun
   | "irq-priority" -> Some Miralis.Config.Interrupt_priority_swapped
   | "mret-mpie" -> Some Miralis.Config.Mret_skips_mpie
-  | other -> failwith ("unknown bug injection: " ^ other)
+  | other ->
+      usage
+        "unknown bug injection %S (known: mpp, pmp-wr, vpmp-overrun, \
+         irq-priority, mret-mpie)"
+        other
 
 let inject_bug_arg =
   Arg.(
@@ -350,256 +362,101 @@ let verify_term =
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let fuzz_replay ~inject_bug ~seed path =
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "miralis-sim: %s: no such file or directory\n" path;
-    exit 2
-  end;
-  let vectors =
-    if Sys.is_directory path then
-      Mir_fuzz.Corpus.load_dir path
-      |> List.filter (fun (name, _) ->
-             (* skip minimized duplicates of full crash vectors *)
-             not (Filename.check_suffix name ".min.jsonl")
-             || not
-                  (Sys.file_exists
-                     (Filename.concat path
-                        (Filename.chop_suffix name ".min.jsonl" ^ ".jsonl"))))
-    else [ (Filename.basename path, Mir_fuzz.Input.load ~path) ]
-  in
-  let bad_parse = ref false in
-  let inputs =
-    List.filter_map
-      (fun (name, r) ->
-        match r with
-        | Ok input -> Some (name, input)
-        | Error msg ->
-            Printf.eprintf "miralis-sim: %s: %s\n" name msg;
-            bad_parse := true;
-            None)
-      vectors
-  in
-  if inputs = [] then begin
-    Printf.eprintf "miralis-sim: no vectors under %s\n" path;
-    exit 2
-  end;
-  let verdict, coverage = Mir_fuzz.Fuzzer.replay ?inject_bug ~seed inputs in
-  Printf.printf "replayed %d vectors, %d coverage edges\n" (List.length inputs)
-    (Mir_fuzz.Coverage.edges coverage);
-  match verdict with
-  | Ok () ->
-      if !bad_parse then exit 2;
-      Printf.printf "all vectors agree\n"
-  | Error (name, idx, reason) ->
-      Printf.printf "DIVERGENCE in %s at op %d:\n  %s\n" name idx reason;
-      if inject_bug <> None then
-        Printf.printf "bug injection DETECTED (as expected)\n"
-      else exit 1
+module Difftest = Mir_fuzz.Difftest
+module Families = Mir_fuzz.Families
 
-let pgfuzz_cmd ~seed ~max_execs =
-  Printf.printf "fuzz --paging: seed=0x%Lx max-execs=%d\n" seed max_execs;
-  let r = Mir_fuzz.Pgfuzz.run ~seed ~max_execs () in
-  Printf.printf "%d execs in %.2fs (%.0f/s), %d (op,outcome) edges\n"
-    r.Mir_fuzz.Pgfuzz.execs r.Mir_fuzz.Pgfuzz.seconds
-    r.Mir_fuzz.Pgfuzz.execs_per_sec r.Mir_fuzz.Pgfuzz.edges;
-  match r.Mir_fuzz.Pgfuzz.divergence with
-  | None -> Printf.printf "no divergence found\n"
-  | Some (at, d) ->
-      Printf.printf
-        "DIVERGENCE at exec %d, op %d:\n  op: %s\n  tlb:    %s\n  \
-         walker: %s\nreproduce with: fuzz --paging --seed 0x%Lx \
-         --max-execs %d\n"
-        at d.Mir_verif.Pgdiff.op_index d.Mir_verif.Pgdiff.op
-        d.Mir_verif.Pgdiff.tlb_outcome d.Mir_verif.Pgdiff.walker_outcome
-        seed max_execs;
-      exit 1
-
-let blockfuzz_cmd ~seed ~max_execs =
-  Printf.printf "fuzz --blocks: seed=0x%Lx max-execs=%d\n" seed max_execs;
-  let r = Mir_fuzz.Blockfuzz.run ~seed ~max_execs () in
-  Printf.printf "%d execs in %.2fs (%.0f/s), %d segment-summary edges\n"
-    r.Mir_fuzz.Blockfuzz.execs r.Mir_fuzz.Blockfuzz.seconds
-    r.Mir_fuzz.Blockfuzz.execs_per_sec r.Mir_fuzz.Blockfuzz.edges;
-  match r.Mir_fuzz.Blockfuzz.divergence with
-  | None -> Printf.printf "no divergence found\n"
-  | Some (at, shrunk, d) ->
-      Format.printf
-        "DIVERGENCE at exec %d, segment %d, field %s:@\n  blocks: %s@\n  \
-         interp: %s@\nshrunk case: %a@\nreproduce with: fuzz --blocks \
-         --seed 0x%Lx --max-execs %d@."
-        at d.Mir_verif.Blockdiff.seg_index d.Mir_verif.Blockdiff.field
-        d.Mir_verif.Blockdiff.blocks_state d.Mir_verif.Blockdiff.interp_state
-        Mir_verif.Blockdiff.pp_case shrunk seed max_execs;
-      let path = Printf.sprintf "blockdiff-%Lx.jsonl" seed in
-      Mir_verif.Blockdiff.save shrunk ~path;
-      Printf.printf "shrunk reproduction written to %s\n" path;
-      exit 1
-
-let acefuzz_replay path =
-  let files =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list
-      |> List.filter (fun f ->
-             String.length f >= 4
-             && String.sub f 0 4 = "ace-"
-             && Filename.check_suffix f ".jsonl")
-      |> List.sort String.compare
-      |> List.map (Filename.concat path)
-    else [ path ]
-  in
-  let failed = ref false in
-  List.iter
-    (fun file ->
-      match Mir_fuzz.Acefuzz.load ~path:file with
-      | Error e ->
-          Printf.printf "%s: %s\n" file e;
-          failed := true
-      | Ok ops -> (
-          match Mir_fuzz.Acefuzz.replay_ops ops with
-          | Ok () -> Printf.printf "%s: %d ops agree\n" file (List.length ops)
-          | Error (idx, reason) ->
-              Printf.printf "DIVERGENCE in %s at op %d:\n  %s\n" file idx
-                reason;
-              failed := true))
-    files;
-  if !failed then exit 1 else Printf.printf "all ace vectors agree\n"
-
-let acefuzz_cmd ~seed ~max_execs ~replay_path ~emit_dir =
-  match (emit_dir, replay_path) with
-  | Some dir, _ ->
-      let paths = Mir_fuzz.Acefuzz.emit ~dir in
-      Printf.printf "wrote %d ace policy vectors to %s\n" (List.length paths)
-        dir
-  | None, Some path -> acefuzz_replay path
-  | None, None -> (
-      Printf.printf "fuzz --policy ace: seed=0x%Lx max-execs=%d\n" seed
-        max_execs;
-      let r = Mir_fuzz.Acefuzz.run ~seed ~max_execs () in
-      Printf.printf "%d execs in %.2fs (%.0f/s), %d (op,outcome) edges\n"
-        r.Mir_fuzz.Acefuzz.execs r.Mir_fuzz.Acefuzz.seconds
-        r.Mir_fuzz.Acefuzz.execs_per_sec r.Mir_fuzz.Acefuzz.edges;
-      match r.Mir_fuzz.Acefuzz.divergence with
-      | None -> Printf.printf "no divergence found\n"
-      | Some (at, d) ->
-          Printf.printf
-            "DIVERGENCE at exec %d, op %d (%s):\n  observed: %s\n  \
-             expected: %s\nreproduce with: fuzz --policy ace --seed 0x%Lx \
-             --max-execs %d\n"
-            at d.Mir_fuzz.Acefuzz.op_index d.Mir_fuzz.Acefuzz.op
-            d.Mir_fuzz.Acefuzz.observed d.Mir_fuzz.Acefuzz.expected seed
-            max_execs;
-          exit 1)
-
-let fuzz_cmd seed max_execs corpus_dir bug replay_path emit_dir paging blocks
-    policy =
+let fuzz_cmd seed max_execs corpus_dir bug replay_path emit_dir family =
   let inject_bug = parse_bug bug in
-  if policy = "ace" then acefuzz_cmd ~seed ~max_execs ~replay_path ~emit_dir
-  else if policy <> "" then begin
-    Printf.printf "unknown fuzz policy %S (known: ace)\n" policy;
-    exit 2
-  end
-  else if paging then pgfuzz_cmd ~seed ~max_execs
-  else if blocks then blockfuzz_cmd ~seed ~max_execs
-  else
+  (* a flag the chosen mode does not use is an error, never ignored *)
+  let only mode allowed =
+    List.iter
+      (fun (flag, set) ->
+        if set && not (List.mem flag allowed) then
+          usage "%s does not apply to %s" flag mode)
+      [
+        ("--seed", seed <> None); ("--max-execs", max_execs <> None);
+        ("--corpus", corpus_dir <> None); ("--inject-bug", bug <> "");
+        ("--family", family <> None);
+      ]
+  in
+  let seed = Option.value seed ~default:Miralis.Config.default_seed in
+  (* exit 0 iff the outcome is the expected one: no divergence, or the
+     injected bug detected *)
+  let verdict_exit diverged =
+    match (inject_bug, diverged) with
+    | None, d -> exit (Bool.to_int d)
+    | Some _, true -> print_endline "bug injection DETECTED (as expected)"
+    | Some _, false ->
+        Printf.printf "bug injection %s NOT detected: fuzzer gap!\n" bug;
+        exit 1
+  in
   match (emit_dir, replay_path) with
-  | Some dir, _ ->
-      let paths = Mir_fuzz.Vectors.emit ~dir in
-      Printf.printf "wrote %d conformance vectors to %s\n" (List.length paths)
-        dir
-  | None, Some path -> fuzz_replay ~inject_bug ~seed path
-  | None, None ->
-      Printf.printf "fuzz: seed=0x%Lx max-execs=%d%s\n" seed max_execs
-        (match inject_bug with
-        | Some _ -> Printf.sprintf " inject-bug=%s" bug
-        | None -> "");
-      let r =
-        Mir_fuzz.Fuzzer.run ?inject_bug ?corpus_dir ~seed ~max_execs ()
-      in
-      List.iter
-        (fun (execs, edges) ->
-          Printf.printf "  after %6d execs: %4d edges\n" execs edges)
-        r.Mir_fuzz.Fuzzer.curve;
-      Printf.printf
-        "%d execs in %.2fs (%.0f/s), %d coverage edges, %d corpus inputs\n"
-        r.Mir_fuzz.Fuzzer.execs r.Mir_fuzz.Fuzzer.seconds
-        r.Mir_fuzz.Fuzzer.execs_per_sec
-        (Mir_fuzz.Coverage.edges r.Mir_fuzz.Fuzzer.coverage)
-        (List.length r.Mir_fuzz.Fuzzer.corpus);
-      (match r.Mir_fuzz.Fuzzer.divergence with
-      | None -> Printf.printf "no divergence found\n"
-      | Some d ->
-          Format.printf
-            "DIVERGENCE after %d execs:@\n  %s@\nfailing input: %a@\n\
-             shrunk to %d ops: %a@\nreproduce with: fuzz --seed 0x%Lx\
-             %s --max-execs %d@."
-            d.Mir_fuzz.Fuzzer.at_exec d.Mir_fuzz.Fuzzer.reason
-            Mir_fuzz.Input.pp d.Mir_fuzz.Fuzzer.input
-            (Mir_fuzz.Input.length d.Mir_fuzz.Fuzzer.shrunk)
-            Mir_fuzz.Input.pp d.Mir_fuzz.Fuzzer.shrunk seed
-            (match inject_bug with
-            | Some _ -> " --inject-bug " ^ bug
-            | None -> "")
-            max_execs;
+  | Some _, Some _ -> usage "--emit-vectors and --replay are exclusive"
+  | Some dir, None -> (
+      only "--emit-vectors" [];
+      match Difftest.emit Families.all ~dir with
+      | Ok paths ->
+          Printf.printf "wrote %d builtin vectors to %s\n" (List.length paths)
+            dir
+      | Error msg -> usage "%s" msg)
+  | None, Some path -> (
+      only "--replay" [ "--seed"; "--inject-bug" ];
+      match Difftest.replay_path Families.all ?inject_bug ~seed path with
+      | Error diagnostics -> usage "%s" (String.concat "\n" diagnostics)
+      | Ok verdicts ->
+          Format.printf "%a@?" Difftest.pp_verdicts verdicts;
+          verdict_exit
+            (List.exists (fun v -> v.Difftest.failures <> []) verdicts))
+  | None, None -> (
+      let name = Option.value family ~default:"isa" in
+      match Families.find name with
+      | None ->
+          usage "unknown family %S (known: isa, paging, blocks, ace)" name
+      | Some (module D) ->
           if inject_bug <> None then
-            Printf.printf "bug injection DETECTED (as expected)\n"
-          else exit 1);
-      if inject_bug <> None && r.Mir_fuzz.Fuzzer.divergence = None then
-        Printf.printf "bug injection %s NOT detected: fuzzer gap!\n" bug
+            Result.iter_error
+              (usage "--inject-bug %s: %s" bug)
+              (D.create ?inject_bug ~seed ());
+          let max_execs = Option.value max_execs ~default:20_000 in
+          let bug_flag = if bug = "" then "" else " --inject-bug " ^ bug in
+          Printf.printf "fuzz --family %s: seed=0x%Lx max-execs=%d%s\n%!"
+            D.name seed max_execs bug_flag;
+          let r =
+            try D.run ?inject_bug ?corpus_dir ~seed ~max_execs ()
+            with Sys_error msg -> usage "%s" msg
+          in
+          Format.printf "%a@?" D.pp_result r;
+          if r.D.divergence <> None then
+            Printf.printf
+              "reproduce with: fuzz --family %s --seed 0x%Lx%s \
+               --max-execs %d\n"
+              D.name seed bug_flag max_execs;
+          verdict_exit (r.D.divergence <> None))
 
 let fuzz_term =
+  let opt c name docv doc =
+    Arg.(value & opt (some c) None & info [ name ] ~docv ~doc)
+  in
   Term.(
-    const fuzz_cmd $ seed_arg
-    $ Arg.(
-        value & opt int 20_000
-        & info [ "max-execs" ] ~docv:"N"
-            ~doc:"Execution budget for the campaign.")
-    $ Arg.(
-        value
-        & opt (some string) None
-        & info [ "corpus" ] ~docv:"DIR"
-            ~doc:
-              "Persist coverage-increasing inputs, crashes and the \
-               coverage map to $(docv).")
+    const fuzz_cmd
+    $ opt Arg.int64 "seed" "SEED" "Root PRNG seed of the campaign or replay."
+    $ opt Arg.int "max-execs" "N" "Campaign execution budget (default 20000)."
+    $ opt Arg.string "corpus" "DIR"
+        "Persist coverage-increasing cases, crashes and the coverage map to \
+         $(docv)."
     $ inject_bug_arg
-    $ Arg.(
-        value
-        & opt (some string) None
-        & info [ "replay" ] ~docv:"PATH"
-            ~doc:
-              "Replay a vector file or a directory of vectors instead of \
-               fuzzing; exits non-zero on divergence.")
-    $ Arg.(
-        value
-        & opt (some string) None
-        & info [ "emit-vectors" ] ~docv:"DIR"
-            ~doc:"Write the built-in conformance vectors to $(docv) and exit.")
-    $ Arg.(
-        value & flag
-        & info [ "paging" ]
-            ~doc:
-              "Fuzz the paging fast path instead: differential streams of \
-               page-table edits, satp switches, fences, SUM/MXR/MPRV flips \
-               and PMP reconfigurations, TLB machine vs raw-walker machine. \
-               Exits non-zero on divergence.")
-    $ Arg.(
-        value & flag
-        & info [ "blocks" ]
-            ~doc:
-              "Fuzz the decoded basic-block engine instead: generated guest \
-               programs (tight loops, mid-block traps, self-modifying code, \
-               vm-epoch-bumping CSR writes) executed through the block \
-               engine against the per-instruction interpreter in lockstep. \
-               Exits non-zero on divergence, after shrinking.")
-    $ Arg.(
-        value & opt string ""
-        & info [ "policy" ] ~docv:"POLICY"
-            ~doc:
-              "Fuzz an isolation policy instead: $(b,ace) drives COVH calls \
-               (tsm_info/promote/run_vcpu/destroy) interleaved with teecalls \
-               and interrupts against a model of the confidential-VM \
-               steal/return contract. Combines with $(b,--replay) and \
-               $(b,--emit-vectors) for the ace-*.jsonl vector family. Exits \
-               non-zero on divergence."))
+    $ opt Arg.string "replay" "PATH"
+        "Replay a vector file or directory instead of fuzzing; each file's \
+         header picks its family. Exits 1 on divergence, 2 on a missing, \
+         empty or malformed vector."
+    $ opt Arg.string "emit-vectors" "DIR"
+        "Write every family's builtin vectors to $(docv) and exit."
+    $ opt Arg.string "family" "FAMILY"
+        "The campaign's family: $(b,isa) (the emulator against the reference \
+         machine, the default), $(b,paging) (TLB against raw walker), \
+         $(b,blocks) (block engine against interpreter) or $(b,ace) (ACE \
+         policy against its steal/return model). Exits 1 on divergence, \
+         after shrinking.")
 
 (* ------------------------------------------------------------------ *)
 (* explore                                                             *)
@@ -1019,8 +876,9 @@ let cmds =
     Cmd.v
       (Cmd.info "fuzz"
          ~doc:
-           "Coverage-guided differential fuzzing of the VFM emulator \
-            against the reference machine")
+           "Coverage-guided differential fuzzing: the VFM emulator, the \
+            TLB, the block engine and the ACE policy, each against its \
+            oracle")
       fuzz_term;
     Cmd.v
       (Cmd.info "explore"

@@ -18,20 +18,10 @@ let entries =
     (* seeds, traces or digests — the fuzzer/prover/fleet results are  *)
     (* bit-identical under any clock.                                  *)
     (* -------------------------------------------------------------- *)
-    e "determinism" "lib/fuzz/fuzzer.ml"
+    e "determinism" "lib/fuzz/difftest.ml"
       "Sys.time only computes the execs/sec figure printed in the \
-       campaign summary; coverage, corpus and divergence results are \
-       clock-independent";
-    e "determinism" "lib/fuzz/pgfuzz.ml"
-      "Sys.time only computes the execs/sec figure printed in the \
-       paging-campaign summary; stream generation is seed-driven";
-    e "determinism" "lib/fuzz/blockfuzz.ml"
-      "Sys.time only computes the execs/sec figure printed in the \
-       block-campaign summary; program generation is seed-driven";
-    e "determinism" "lib/fuzz/acefuzz.ml"
-      "Sys.time only computes the execs/sec figure printed in the \
-       ACE-policy campaign summary; op-stream generation is \
-       seed-driven";
+       campaign summary of every fuzz family; coverage, corpus and \
+       divergence results are clock-independent";
     e "determinism" "lib/verif/tasks.ml"
       "Sys.time only stamps the per-task seconds field of verification \
        reports; proof outcomes are exhaustive and clock-independent";

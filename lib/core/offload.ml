@@ -15,16 +15,24 @@ let mepc hart = Csr_file.read_raw hart.Hart.csr Csr_addr.mepc
 let charge = Machine.charge
 
 (* Expand an SBI hart mask (mask in a0, base hartid in a1; base = -1
-   means "all harts") into a hart-id list. *)
+   means "all harts") into a hart-id list. Ids are computed in Int64, so
+   a guest-chosen base cannot wrap into range; [None] when the mask
+   selects an id outside [0, nharts), which the caller answers with
+   SBI_ERR_INVALID_PARAM. *)
 let hart_targets (m : Machine.t) ~mask ~base =
   let n = Array.length m.Machine.harts in
-  if base = -1L then List.init n Fun.id
+  if base = -1L then Some (List.init n Fun.id)
   else
-    List.filter_map
-      (fun i ->
-        let h = Int64.to_int base + i in
-        if h < n && Bits.test mask i then Some h else None)
-      (List.init 64 Fun.id)
+    let ids =
+      List.filter_map
+        (fun i ->
+          if Bits.test mask i then Some (Int64.add base (Int64.of_int i))
+          else None)
+        (List.init 64 Fun.id)
+    in
+    if List.for_all (fun h -> h >= 0L && h < Int64.of_int n) ids then
+      Some (List.map Int64.to_int ids)
+    else None
 
 (* Post a virtual IPI/rfence to each target: set the vCLINT pending
    flag and kick the physical MSIP in the same step. Under the
@@ -49,6 +57,21 @@ let kick_with (m : Machine.t) vclint flag ~poster targets =
             Clint.set_msip m.Machine.clint h true)
       else Clint.set_msip m.Machine.clint h true)
     targets
+
+(* Offloaded IPI or remote fence: post to every target and return
+   success, or touch nothing and return SBI_ERR_INVALID_PARAM when the
+   mask names a hart that does not exist. *)
+let kick m vclint flag hart ~mask ~base =
+  let ret a0 =
+    Hart.set hart 10 a0;
+    Hart.set hart 11 0L;
+    Resume_at (Int64.add (mepc hart) 4L)
+  in
+  match hart_targets m ~mask ~base with
+  | Some targets ->
+      kick_with m vclint flag ~poster:hart.Hart.id targets;
+      ret Mir_sbi.Sbi.success
+  | None -> ret Mir_sbi.Sbi.err_invalid_param
 
 let set_timer (config : Config.t) (m : Machine.t) vclint stats hart deadline =
   let h = hart.Hart.id in
@@ -79,18 +102,16 @@ let try_ecall config (m : Machine.t) vclint stats hart =
     end
     else if ext = Mir_sbi.Sbi.ext_ipi && fid = Mir_sbi.Sbi.fid_ipi_send_ipi
     then begin
-      kick_with m vclint Vclint.set_os_ipi_pending ~poster:hart.Hart.id
-        (hart_targets m ~mask:a0 ~base:a1);
+      let r = kick m vclint Vclint.set_os_ipi_pending hart ~mask:a0 ~base:a1 in
       stats.Vfm_stats.offload_ipi <- stats.Vfm_stats.offload_ipi + 1;
       charge hart config.Config.cost.Cost.offload_ipi;
-      ret ()
+      r
     end
     else if ext = Mir_sbi.Sbi.ext_rfence then begin
-      kick_with m vclint Vclint.set_rfence_pending ~poster:hart.Hart.id
-        (hart_targets m ~mask:a0 ~base:a1);
+      let r = kick m vclint Vclint.set_rfence_pending hart ~mask:a0 ~base:a1 in
       stats.Vfm_stats.offload_rfence <- stats.Vfm_stats.offload_rfence + 1;
       charge hart config.Config.cost.Cost.offload_rfence;
-      ret ()
+      r
     end
     else Not_handled
   end

@@ -2,7 +2,7 @@
 
     Runs a fleet of independent simulated machines — each a complete
     single-hart system under its own Miralis monitor — across OCaml 5
-    domains via a work-stealing pool ({!Pool}), fed by the seeded load
+    domains via a domain pool ({!Pool}), fed by the seeded load
     generator ({!Load}) that replays the paper's per-workload
     trap-rate mix as simulated client requests.
 
@@ -11,7 +11,7 @@
     machines share any mutable simulator state, and all aggregation
     folds per-machine results in machine-id order. Fleet results
     (digests, counters, latency percentiles) are therefore
-    bit-identical regardless of domain count or stealing order; only
+    bit-identical regardless of domain count or claiming order; only
     [wall_seconds] varies. *)
 
 type spec = {

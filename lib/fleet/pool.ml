@@ -1,65 +1,11 @@
-(* A work-stealing domain pool for fleets of independent machines.
+(* A domain pool for fleets of independent machines.
 
-   Tasks are integers [0, tasks); each runs exactly once. Task [i] is
-   dealt round-robin to deque [i mod domains], owners pop from the
-   front, idle workers steal from the back of the fullest victim.
-   Which domain runs a task affects only wall-clock time: the caller's
-   task function writes its result into a slot owned by the task id,
-   so fleet results are independent of the stealing order. *)
-
-type deque = {
-  lock : Mutex.t;
-  slots : int array;  (* task ids dealt to this worker *)
-  mutable front : int;  (* next owner pop *)
-  mutable back : int;  (* one past the last live slot (steal end) *)
-}
-
-let pop_front d =
-  Mutex.lock d.lock;
-  let r =
-    if d.front < d.back then begin
-      let t = d.slots.(d.front) in
-      d.front <- d.front + 1;
-      Some t
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  r
-
-let steal_back d =
-  Mutex.lock d.lock;
-  let r =
-    if d.front < d.back then begin
-      d.back <- d.back - 1;
-      Some d.slots.(d.back)
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  r
-
-let size d =
-  Mutex.lock d.lock;
-  let n = d.back - d.front in
-  Mutex.unlock d.lock;
-  n
-
-(* Steal from the victim with the most queued work (ties to the lowest
-   index), so long stragglers spread instead of clustering. *)
-let steal deques ~self =
-  let best = ref (-1) and best_n = ref 0 in
-  Array.iteri
-    (fun i d ->
-      if i <> self then begin
-        let n = size d in
-        if n > !best_n then begin
-          best := i;
-          best_n := n
-        end
-      end)
-    deques;
-  if !best < 0 then None else steal_back deques.(!best)
+   Tasks are integers [0, tasks); each runs exactly once. Every worker
+   claims the next unclaimed task id from one shared atomic counter, so
+   a long straggler never strands queued work behind it. Which domain
+   runs a task affects only wall-clock time: the caller's task function
+   writes its result into a slot owned by the task id, so fleet results
+   are independent of the claiming order. *)
 
 let run ~domains ~tasks f =
   if domains < 1 then invalid_arg "Pool.run: domains < 1";
@@ -69,42 +15,26 @@ let run ~domains ~tasks f =
       f i
     done
   else begin
-    let nd = min domains tasks in
-    let deques =
-      Array.init nd (fun w ->
-          let mine = ref [] in
-          for i = tasks - 1 downto 0 do
-            if i mod nd = w then mine := i :: !mine
-          done;
-          let slots = Array.of_list !mine in
-          { lock = Mutex.create (); slots; front = 0; back = Array.length slots })
-    in
-    (* The first failure wins; the rest of the fleet still drains so
-       every domain joins cleanly before the exception resurfaces. *)
+    let next = Atomic.make 0 in
+    (* The first failure wins; the remaining ids are still claimed (and
+       skipped) so every domain joins cleanly before the exception
+       resurfaces. *)
     let failure = Atomic.make None in
-    let worker w () =
-      let rec loop () =
-        match pop_front deques.(w) with
-        | Some t ->
-            run_task t;
-            loop ()
-        | None -> (
-            match steal deques ~self:w with
-            | Some t ->
-                run_task t;
-                loop ()
-            | None -> ())
-      and run_task t =
-        if Atomic.get failure = None then
-          try f t
-          with e ->
-            let bt = Printexc.get_raw_backtrace () in
-            ignore (Atomic.compare_and_set failure None (Some (e, bt)))
-      in
-      loop ()
+    let rec worker () =
+      let t = Atomic.fetch_and_add next 1 in
+      if t < tasks then begin
+        (if Atomic.get failure = None then
+           try f t
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+        worker ()
+      end
     in
-    let spawned = Array.init (nd - 1) (fun w -> Domain.spawn (worker (w + 1))) in
-    worker 0 ();
+    let spawned =
+      Array.init (min domains tasks - 1) (fun _ -> Domain.spawn worker)
+    in
+    worker ();
     Array.iter Domain.join spawned;
     match Atomic.get failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -1,13 +1,12 @@
-(** Work-stealing domain pool (OCaml 5 [Domain]).
+(** Domain pool (OCaml 5 [Domain]).
 
-    Runs integer tasks [0, tasks) across a fixed set of domains: tasks
-    are dealt round-robin onto per-worker deques, owners pop from the
-    front, and an idle worker steals from the back of the victim with
-    the most queued work. Each task runs exactly once; which domain
-    runs it is scheduling-dependent, so the task function must write
-    only to state owned by the task id (the fleet layer stores results
-    in a per-task slot, keeping fleet output independent of domain
-    count and stealing order). *)
+    Runs integer tasks [0, tasks) across a fixed set of domains: each
+    worker claims the next task id from one shared atomic counter. Each
+    task runs exactly once; which domain runs it is
+    scheduling-dependent, so the task function must write only to state
+    owned by the task id (the fleet layer stores results in a per-task
+    slot, keeping fleet output independent of domain count and claiming
+    order). *)
 
 val run : domains:int -> tasks:int -> (int -> unit) -> unit
 (** [run ~domains ~tasks f] executes [f 0 .. f (tasks-1)], each

@@ -19,7 +19,7 @@
    Generation is deterministic from the root seed via the config-rooted
    PRNG streams, and an (op class x outcome class) edge map tracks
    behavioural coverage. Vectors serialize to JSONL ([ace-*.jsonl] in
-   test/vectors/) and replay through [replay_ops]. *)
+   test/vectors/); the campaign, replay and report are {!Difftest}'s. *)
 
 module Prng = Mir_util.Prng
 module Machine = Mir_rv.Machine
@@ -38,6 +38,7 @@ module Monitor = Miralis.Monitor
 module Policy = Miralis.Policy
 module Vhart = Miralis.Vhart
 module Vfm_stats = Miralis.Vfm_stats
+module Event = Mir_trace.Event
 
 (* ------------------------------------------------------------------ *)
 (* Ops                                                                 *)
@@ -64,17 +65,6 @@ let op_hart = function
   | Destroy { hart; _ }
   | Interrupt { hart; _ } ->
       hart
-
-let pp_op = function
-  | Tsm_info { hart } -> Printf.sprintf "tsm_info[h%d]" hart
-  | Promote { hart; base; size; entry } ->
-      Printf.sprintf "promote[h%d] base=%#Lx size=%Ld entry=%#Lx" hart base
-        size entry
-  | Run { hart; id } -> Printf.sprintf "run[h%d] id=%d" hart id
-  | Teecall { hart; value } -> Printf.sprintf "teecall[h%d] value=%Ld" hart value
-  | Destroy { hart; id } -> Printf.sprintf "destroy[h%d] id=%d" hart id
-  | Interrupt { hart; delta } ->
-      Printf.sprintf "interrupt[h%d] delta=%Ld" hart delta
 
 (* ------------------------------------------------------------------ *)
 (* Model: the steal/return contract as a pure FSM                      *)
@@ -165,6 +155,25 @@ let staged_a0 = function
   | Teecall { value; _ } -> value
   | Destroy { id; _ } -> Int64.of_int id
   | Interrupt { delta; _ } -> delta
+
+(* The staged (a1, a2): promote's size and entry, zero otherwise. *)
+let staged_a12 = function
+  | Promote { size; entry; _ } -> (size, entry)
+  | _ -> (0L, 0L)
+
+let op_name = function
+  | Tsm_info _ -> "tsm_info"
+  | Promote _ -> "promote"
+  | Run _ -> "run"
+  | Teecall _ -> "teecall"
+  | Destroy _ -> "destroy"
+  | Interrupt _ -> "interrupt"
+
+(* One op as its vector line; also how divergences name it. *)
+let line_of_op op =
+  let a1, a2 = staged_a12 op in
+  Printf.sprintf {|{"op":"%s","h":%d,"a0":"0x%Lx","a1":"0x%Lx","a2":"0x%Lx"}|}
+    (op_name op) (op_hart op) (staged_a0 op) a1 a2
 
 (* Where an interrupted CVM vcpu is suspended: [delta] steps of
    progress past the entry point, folded into the region. *)
@@ -309,7 +318,7 @@ let harness_create () =
 
 let marker id = Int64.logor 0x4143_4500_0000_0000L (Int64.of_int id)
 
-type divergence = {
+type mismatch = {
   op_index : int;
   op : string;
   observed : string;
@@ -317,7 +326,7 @@ type divergence = {
 }
 
 let mismatch i op ~observed ~expected =
-  Some { op_index = i; op = pp_op op; observed; expected }
+  Some { op_index = i; op = line_of_op op; observed; expected }
 
 (* Invariants checked after every op, against the model's view. *)
 let invariant_violation t model =
@@ -406,7 +415,7 @@ let invariant_violation t model =
       | Some _ as v -> v
       | None -> ( match counters () with Some _ as v -> v | None -> markers ()))
 
-let exec_ops ?on_outcome t ops =
+let exec_ops ~on_outcome t ops =
   let model = model_create () in
   let m = t.machine in
   Array.iteri
@@ -448,11 +457,7 @@ let exec_ops ?on_outcome t ops =
               | Destroy _ -> Ace.fid_destroy
               | _ -> Ace.fid_tsm_info
             in
-            let a1, a2 =
-              match op with
-              | Promote { size; entry; _ } -> (size, entry)
-              | _ -> (0L, 0L)
-            in
+            let a1, a2 = staged_a12 op in
             Hart.set hart 17 Ace.ext_covh;
             Hart.set hart 16 fid;
             Hart.set hart 10 (staged_a0 op);
@@ -528,9 +533,7 @@ let exec_ops ?on_outcome t ops =
                   [ 0L; 8L ])
               (pages_of ~base:c.mbase ~size:c.msize)
         | _ -> ());
-        match on_outcome with
-        | Some f when !div = None -> f i op e.cls
-        | _ -> ()
+        if !div = None then on_outcome i op e.cls
       end)
     ops;
   !div
@@ -579,128 +582,31 @@ let gen_ops prng =
   List.init n (fun _ -> gen_op prng)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign                                                            *)
+(* JSONL codec: one op per line under a {"ace":1,"v":1} header        *)
 (* ------------------------------------------------------------------ *)
-
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;  (** distinct (op class, outcome class) pairs seen *)
-  divergence : (int * divergence) option;
-      (** (execution index, divergence) *)
-}
-
-let run ~seed ~max_execs () =
-  let prng = Config.derive seed "acefuzz/gen" in
-  let edges = Hashtbl.create 64 in
-  let on_outcome _i op cls = Hashtbl.replace edges (op_class op, cls) () in
-  let t0 = Sys.time () in
-  let divergence = ref None in
-  let execs = ref 0 in
-  while !execs < max_execs && !divergence = None do
-    let ops = gen_ops prng in
-    let t = harness_create () in
-    (match exec_ops ~on_outcome t ops with
-    | Some d -> divergence := Some (!execs, d)
-    | None -> ());
-    incr execs
-  done;
-  let seconds = Sys.time () -. t0 in
-  {
-    execs = !execs;
-    seconds;
-    execs_per_sec =
-      (if seconds > 0. then float_of_int !execs /. seconds else 0.);
-    edges = Hashtbl.length edges;
-    divergence = !divergence;
-  }
-
-let replay_ops ops =
-  let t = harness_create () in
-  match exec_ops t ops with
-  | None -> Ok ()
-  | Some d ->
-      Error
-        ( d.op_index,
-          Printf.sprintf "%s: observed %s, expected %s" d.op d.observed
-            d.expected )
-
-(* ------------------------------------------------------------------ *)
-(* JSONL vectors                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let op_name = function
-  | Tsm_info _ -> "tsm_info"
-  | Promote _ -> "promote"
-  | Run _ -> "run"
-  | Teecall _ -> "teecall"
-  | Destroy _ -> "destroy"
-  | Interrupt _ -> "interrupt"
 
 let to_jsonl ops =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"ace\":1,\"v\":1}\n";
-  List.iter
-    (fun op ->
-      let a1, a2 =
-        match op with
-        | Promote { size; entry; _ } -> (size, entry)
-        | _ -> (0L, 0L)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"op\":\"%s\",\"h\":%d,\"a0\":\"0x%Lx\",\"a1\":\"0x%Lx\",\"a2\":\"0x%Lx\"}\n"
-           (op_name op) (op_hart op) (staged_a0 op) a1 a2);
-      ())
-    ops;
-  Buffer.contents buf
+  String.concat "\n" ({|{"ace":1,"v":1}|} :: List.map line_of_op ops) ^ "\n"
 
-let op_of_line line =
-  try
-    Scanf.sscanf line "{\"op\":%S,\"h\":%d,\"a0\":%S,\"a1\":%S,\"a2\":%S}"
-      (fun name hart a0 a1 a2 ->
-        let a0 = Int64.of_string a0
-        and a1 = Int64.of_string a1
-        and a2 = Int64.of_string a2 in
-        match name with
-        | "tsm_info" -> Ok (Tsm_info { hart })
-        | "promote" -> Ok (Promote { hart; base = a0; size = a1; entry = a2 })
-        | "run" -> Ok (Run { hart; id = Int64.to_int a0 })
-        | "teecall" -> Ok (Teecall { hart; value = a0 })
-        | "destroy" -> Ok (Destroy { hart; id = Int64.to_int a0 })
-        | "interrupt" -> Ok (Interrupt { hart; delta = a0 })
-        | _ -> Error (Printf.sprintf "unknown ace op %S" name))
-  with Scanf.Scan_failure _ | End_of_file | Failure _ ->
-    Error (Printf.sprintf "malformed ace vector line %S" line)
+let ( let* ) = Result.bind
 
-let of_jsonl s =
-  match String.split_on_char '\n' s |> List.filter (fun l -> l <> "") with
-  | [] -> Error "empty ace vector"
-  | header :: rest ->
-      if String.length header < 8 || String.sub header 0 8 <> "{\"ace\":1" then
-        Error (Printf.sprintf "not an ace vector header: %S" header)
-      else
-        List.fold_left
-          (fun acc line ->
-            match (acc, op_of_line line) with
-            | Error _, _ -> acc
-            | _, Error e -> Error e
-            | Ok ops, Ok op -> Ok (op :: ops))
-          (Ok []) rest
-        |> Result.map List.rev
-
-let save ops ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl ops))
-
-let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_jsonl (really_input_string ic (in_channel_length ic)))
+let op_of_fields fields =
+  let* name = Event.field fields "op" in
+  let* hart = Event.int_field fields "h" in
+  let* a0 = Event.i64_field fields "a0" in
+  let* a1 = Event.i64_field fields "a1" in
+  let* a2 = Event.i64_field fields "a2" in
+  if hart < 0 || hart >= nharts then
+    Error (Printf.sprintf "hart %d outside [0, %d)" hart nharts)
+  else
+    match name with
+    | "tsm_info" -> Ok (Tsm_info { hart })
+    | "promote" -> Ok (Promote { hart; base = a0; size = a1; entry = a2 })
+    | "run" -> Ok (Run { hart; id = Int64.to_int a0 })
+    | "teecall" -> Ok (Teecall { hart; value = a0 })
+    | "destroy" -> Ok (Destroy { hart; id = Int64.to_int a0 })
+    | "interrupt" -> Ok (Interrupt { hart; delta = a0 })
+    | _ -> Error (Printf.sprintf "unknown ace op %S" name)
 
 (* ------------------------------------------------------------------ *)
 (* Built-in conformance vectors                                        *)
@@ -710,7 +616,7 @@ let b0 = 0x8080_0000L
 
 let builtin =
   [
-    ( "lifecycle",
+    ( "ace-lifecycle",
       [
         Promote { hart = 0; base = b0; size = 4096L; entry = b0 };
         Tsm_info { hart = 1 };
@@ -719,7 +625,7 @@ let builtin =
         Destroy { hart = 0; id = 1 };
         Tsm_info { hart = 0 };
       ] );
-    ( "overlap",
+    ( "ace-overlap",
       [
         Promote { hart = 0; base = b0; size = 8192L; entry = b0 };
         (* adjacent region: fine *)
@@ -731,7 +637,7 @@ let builtin =
         Promote { hart = 1; base = b0; size = 4096L; entry = b0 };
         Destroy { hart = 1; id = 1 };
       ] );
-    ( "badargs",
+    ( "ace-badargs",
       [
         Promote { hart = 0; base = b0; size = 2048L; entry = b0 };
         Promote { hart = 0; base = b0; size = 12288L; entry = b0 };
@@ -739,7 +645,7 @@ let builtin =
         Promote { hart = 1; base = b0; size = 0L; entry = b0 };
         Tsm_info { hart = 0 };
       ] );
-    ( "interrupt-resume",
+    ( "ace-interrupt-resume",
       [
         Promote { hart = 0; base = b0; size = 4096L; entry = b0 };
         Run { hart = 0; id = 1 };
@@ -749,7 +655,7 @@ let builtin =
         Teecall { hart = 0; value = 7L };
         Destroy { hart = 1; id = 1 };
       ] );
-    ( "cross-hart",
+    ( "ace-cross-hart",
       [
         Promote { hart = 0; base = b0; size = 4096L; entry = b0 };
         Run { hart = 0; id = 1 };
@@ -761,7 +667,7 @@ let builtin =
         Teecall { hart = 1; value = 9L };
         Destroy { hart = 0; id = 1 };
       ] );
-    ( "destroy-running",
+    ( "ace-destroy-running",
       [
         Promote { hart = 0; base = b0; size = 4096L; entry = b0 };
         Run { hart = 0; id = 1 };
@@ -773,11 +679,45 @@ let builtin =
       ] );
   ]
 
-let emit ~dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  List.map
-    (fun (name, ops) ->
-      let path = Filename.concat dir (Printf.sprintf "ace-%s.jsonl" name) in
-      save ops ~path;
-      path)
-    builtin
+(* ------------------------------------------------------------------ *)
+(* The family                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Family = struct
+  type case = op list
+  type exec = unit
+  type line = op
+
+  let name = "ace"
+  let header = "ace"
+
+  (* no per-campaign state: every case gets a fresh harness *)
+  let create ?inject_bug ~seed:_ () =
+    Difftest.no_bugs ~family:name inject_bug ()
+
+  let generator () ~seed =
+    let prng = Config.derive seed "acefuzz/gen" in
+    fun _ -> gen_ops prng
+
+  (* edge: (op class x outcome class) of each agreeing op *)
+  let check () ~edge ops =
+    exec_ops
+      ~on_outcome:(fun _ op cls -> edge ((op_class op * 8) + cls))
+      (harness_create ()) ops
+    |> Option.map (fun d ->
+           Printf.sprintf "op %d (%s): observed %s, expected %s" d.op_index
+             d.op d.observed d.expected)
+
+  let shrink () ops = ops
+
+  let pp fmt ops =
+    Format.fprintf fmt "%d ops" (List.length ops);
+    List.iter (fun op -> Format.fprintf fmt "@\n  %s" (line_of_op op)) ops
+
+  let builtin = builtin
+  let to_jsonl = to_jsonl
+  let parse_line = op_of_fields
+  let of_lines _ ops = Ok ops
+end
+
+include Difftest.Make (Family)

@@ -1,13 +1,13 @@
-(** ACE/COVH policy op class for the differential fuzzer.
+(** The ace family: the ACE confidential-VM policy against a pure
+    model of its steal/return contract.
 
-    Drives the ACE confidential-VM policy hooks white-box — staged
-    COVH ecalls (tsm_info / promote / run_vcpu / destroy), voluntary
-    teecall exits and machine interrupts on a fresh two-hart monitor —
-    against a pure model of the steal/return contract. Every
-    observable is predicted and compared: the SBI return pair, the
-    resumed pc and privilege, per-CVM PMP confidentiality from every
-    hart, the medeleg swap, scrub-on-destroy and the steal/return
-    counters. Vectors serialize to JSONL ([ace-*.jsonl]). *)
+    Drives the policy hooks white-box — staged COVH ecalls (tsm_info /
+    promote / run_vcpu / destroy), voluntary teecall exits and machine
+    interrupts on a fresh two-hart monitor per case — and compares
+    every observable with the model's prediction: the SBI return pair,
+    the resumed pc and privilege, per-CVM PMP confidentiality from
+    every hart, the medeleg swap, scrub-on-destroy and the steal/return
+    counters. Vectors carry the [ace] header ([ace-*.jsonl]). *)
 
 type op =
   | Tsm_info of { hart : int }
@@ -22,42 +22,6 @@ type op =
       (** a machine interrupt; if the hart runs a CVM the vcpu is
           suspended at entry+[delta] *)
 
-val pp_op : op -> string
-
-type divergence = {
-  op_index : int;
-  op : string;
-  observed : string;
-  expected : string;
-}
-
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;  (** distinct (op class, outcome class) pairs seen *)
-  divergence : (int * divergence) option;
-      (** (execution index, divergence) *)
-}
-
-val run : seed:int64 -> max_execs:int -> unit -> result
-(** Deterministic campaign: generated op streams, one fresh harness
-    per execution, stops at the first divergence. *)
-
-val replay_ops : op list -> (unit, int * string) Stdlib.result
-(** Run one vector on a fresh harness; [Error (op_index, reason)] on
-    divergence. *)
-
-val to_jsonl : op list -> string
-val of_jsonl : string -> (op list, string) Stdlib.result
-val save : op list -> path:string -> unit
-val load : path:string -> (op list, string) Stdlib.result
-
-val builtin : (string * op list) list
-(** The named conformance vectors behind [emit]: lifecycle, overlap
-    rejection, malformed promotes, interrupt/resume, cross-hart steal
-    and destroy-while-running. *)
-
-val emit : dir:string -> string list
-(** Write the built-in vectors to [dir] as [ace-<name>.jsonl]; returns
-    the paths. *)
+include Difftest.S with type case = op list
+(** The builtins are lifecycle, overlap rejection, malformed promotes,
+    interrupt/resume, cross-hart steal and destroy-while-running. *)

@@ -28,7 +28,8 @@
    x wfi) shows a campaign actually reached traps, privilege drops
    and out-of-window excursions.  Divergences are shrunk by NOP
    substitution plus segment truncation before being reported, so a
-   reproduction vector is close to minimal. *)
+   reproduction vector is close to minimal.  The campaign, replay and
+   report are {!Difftest}'s. *)
 
 module Prng = Mir_util.Prng
 module Blockdiff = Mir_verif.Blockdiff
@@ -36,6 +37,7 @@ module Instr = Mir_rv.Instr
 module Encode = Mir_rv.Encode
 module Csr_addr = Mir_rv.Csr_addr
 module Priv = Mir_rv.Priv
+module Event = Mir_trace.Event
 
 (* ------------------------------------------------------------------ *)
 (* Program generation                                                  *)
@@ -304,53 +306,6 @@ let shrink (case : Blockdiff.case) (d : Blockdiff.divergence) =
   (!best, !bestd)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let priv_class = function Priv.U -> 0 | Priv.S -> 1 | Priv.M -> 2
-
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;
-  divergence : (int * Blockdiff.case * Blockdiff.divergence) option;
-}
-
-let run ~seed ~max_execs () =
-  let prng = Miralis.Config.derive seed "blockfuzz/gen" in
-  let edges = Hashtbl.create 64 in
-  let on_segment _i (v : Blockdiff.seg_view) =
-    Hashtbl.replace edges
-      ( v.Blockdiff.region,
-        priv_class v.Blockdiff.priv,
-        Int64.to_int v.Blockdiff.cause land 31,
-        v.Blockdiff.wfi )
-      ()
-  in
-  let t0 = Sys.time () in
-  let divergence = ref None in
-  let execs = ref 0 in
-  while !execs < max_execs && !divergence = None do
-    let case = gen_case prng in
-    (match Blockdiff.run_case ~on_segment case with
-    | Some d ->
-        let shrunk, d' = shrink case d in
-        divergence := Some (!execs, shrunk, d')
-    | None -> ());
-    incr execs
-  done;
-  let seconds = Sys.time () -. t0 in
-  {
-    execs = !execs;
-    seconds;
-    execs_per_sec =
-      (if seconds > 0. then float_of_int !execs /. seconds else 0.);
-    edges = Hashtbl.length edges;
-    divergence = !divergence;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Checked-in regression vectors                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -359,7 +314,7 @@ let run ~seed ~max_execs () =
    loop and a pure spin loop sliced by 1-step segments.  Emitted to
    test/vectors/ as block-*.jsonl; dune runtest replays each one and
    requires the engine to match the interpreter exactly. *)
-let builtin () =
+let builtin =
   let generated =
     List.map
       (fun seed ->
@@ -413,11 +368,97 @@ let builtin () =
   in
   generated @ [ ("block-selfmod", selfmod); ("block-spin", spin) ]
 
-let emit ~dir =
-  Corpus.ensure_dir dir;
-  List.map
-    (fun (name, case) ->
-      let path = Filename.concat dir (name ^ ".jsonl") in
-      Blockdiff.save case ~path;
-      path)
-    (builtin ())
+(* ------------------------------------------------------------------ *)
+(* JSONL codec and the family                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A {"blockdiff":1,"seed":...} header, then one line per code word
+   and one per segment budget, in order. *)
+let to_jsonl (c : Blockdiff.case) =
+  let lines fmt a = List.map (Printf.sprintf fmt) (Array.to_list a) in
+  String.concat ""
+    (Printf.sprintf "{\"blockdiff\":1,\"seed\":\"0x%Lx\"}\n" c.Blockdiff.seed
+    :: lines "{\"op\":\"w\",\"bits\":\"0x%x\"}\n" c.Blockdiff.words
+    @ lines "{\"op\":\"s\",\"steps\":%d}\n" c.Blockdiff.segs)
+
+type item = Word of int | Seg of int
+
+let ( let* ) = Result.bind
+
+let line_of_fields fields =
+  let* op = Event.field fields "op" in
+  match op with
+  | "w" ->
+      let* bits = Event.i64_field fields "bits" in
+      if bits < 0L || bits > 0xFFFFFFFFL then
+        Error (Printf.sprintf "code word %#Lx is not 32 bits" bits)
+      else Ok (Word (Int64.to_int bits))
+  | "s" ->
+      let* steps = Event.int_field fields "steps" in
+      if steps < 1 then Error "segment budgets must be positive"
+      else Ok (Seg steps)
+  | other -> Error (Printf.sprintf "unknown blockdiff op %S" other)
+
+let of_lines header lines =
+  let* seed = Event.i64_field header "seed" in
+  let words =
+    Array.of_list (List.filter_map (function Word w -> Some w | _ -> None) lines)
+  in
+  let segs =
+    Array.of_list (List.filter_map (function Seg s -> Some s | _ -> None) lines)
+  in
+  let n = Array.length words in
+  if n = 0 || n > Blockdiff.max_words then
+    Error
+      (Printf.sprintf "code must be 1..%d words, got %d" Blockdiff.max_words n)
+  else if segs = [||] then Error "no segment budgets"
+  else Ok { Blockdiff.seed; words; segs }
+
+let priv_class = function Priv.U -> 0 | Priv.S -> 1 | Priv.M -> 2
+
+module Family = struct
+  type case = Blockdiff.case
+  type exec = unit
+  type line = item
+
+  let name = "blocks"
+  let header = "blockdiff"
+
+  (* no per-campaign state: [Blockdiff.run_case] builds a fresh
+     machine pair per case *)
+  let create ?inject_bug ~seed:_ () =
+    Difftest.no_bugs ~family:name inject_bug ()
+
+  let generator () ~seed =
+    let prng = Miralis.Config.derive seed "blockfuzz/gen" in
+    fun _ -> gen_case prng
+
+  (* edge: (pc region x privilege x mcause x wfi) of each block-side
+     segment summary *)
+  let check () ~edge case =
+    let on_segment _ (v : Blockdiff.seg_view) =
+      edge
+        (((((v.Blockdiff.region * 3) + priv_class v.Blockdiff.priv) * 32)
+          + (Int64.to_int v.Blockdiff.cause land 31))
+         * 2
+        + Bool.to_int v.Blockdiff.wfi)
+    in
+    Blockdiff.run_case ~on_segment case
+    |> Option.map (fun (d : Blockdiff.divergence) ->
+           Printf.sprintf "segment %d, field %s: blocks %s, interp %s"
+             d.Blockdiff.seg_index d.Blockdiff.field d.Blockdiff.blocks_state
+             d.Blockdiff.interp_state)
+
+  let shrink () case =
+    match Blockdiff.run_case case with
+    | None -> case
+    | Some d -> fst (shrink case d)
+
+  let pp = Blockdiff.pp_case
+  let builtin = builtin
+  let to_jsonl = to_jsonl
+  let parse_line = line_of_fields
+  let of_lines = of_lines
+end
+
+include Difftest.Make (Family)

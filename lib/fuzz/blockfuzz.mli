@@ -1,36 +1,11 @@
-(** Block-engine differential fuzzer: generated guest programs —
-    pure-ALU runs, tight loops, mid-block traps, self-modifying
-    stores, vm-epoch-bumping CSR writes, fence.i — executed by the
-    decoded basic-block engine against the per-instruction
-    interpreter in lockstep, via {!Mir_verif.Blockdiff}. *)
+(** The blocks family: generated guest programs — pure-ALU runs, tight
+    loops, mid-block traps, self-modifying stores, vm-epoch-bumping CSR
+    writes, fence.i — executed by the decoded basic-block engine
+    against the per-instruction interpreter in lockstep, via
+    {!Mir_verif.Blockdiff}. Vectors carry the [blockdiff] header;
+    divergences shrink by segment truncation and NOP substitution. *)
 
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;
-      (** distinct (pc region, privilege, mcause, wfi) block-side
-          segment summaries seen *)
-  divergence : (int * Mir_verif.Blockdiff.case * Mir_verif.Blockdiff.divergence) option;
-      (** (execution index, shrunk reproduction case, its
-          divergence) *)
-}
-
-val run : seed:int64 -> max_execs:int -> unit -> result
-(** Run [max_execs] generated cases (or stop at the first
-    divergence, which is shrunk before being returned).
-    Deterministic from [seed]. *)
+include Difftest.S with type case = Mir_verif.Blockdiff.case
 
 val gen_case : Mir_util.Prng.t -> Mir_verif.Blockdiff.case
-(** One generated case (exposed for the vector emitter and tests). *)
-
-val shrink :
-  Mir_verif.Blockdiff.case ->
-  Mir_verif.Blockdiff.divergence ->
-  Mir_verif.Blockdiff.case * Mir_verif.Blockdiff.divergence
-(** Segment truncation plus one NOP-substitution pass; every kept
-    candidate re-diverges on a fresh machine pair. *)
-
-val emit : dir:string -> string list
-(** Write the built-in block-engine regression vectors to [dir]
-    (block-*.jsonl) and return their paths. *)
+(** One generated case (exposed for the engine tests). *)

@@ -12,8 +12,6 @@ let size = 16384
 type t = { counts : int array }
 
 let create () = { counts = Array.make size 0 }
-let copy t = { counts = Array.copy t.counts }
-let clear t = Array.fill t.counts 0 size 0
 
 (* Stable edge index: no hashing beyond a mix so that determinism is
    trivial and collisions are structural, not seed-dependent. *)
@@ -37,10 +35,6 @@ let add t idx =
   let before = t.counts.(i) in
   t.counts.(i) <- before + 1;
   bucket (before + 1) <> bucket before
-
-let hit t idx =
-  let i = ((idx mod size) + size) mod size in
-  t.counts.(i) > 0
 
 let edges t =
   Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 t.counts

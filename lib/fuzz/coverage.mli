@@ -1,5 +1,6 @@
-(** Edge-coverage map: (instruction class x outcome x trap cause) hit
-    counts with AFL-style bucketing, driving mutation scheduling. *)
+(** Edge-coverage map shared by every differential-testing family:
+    hit counts per edge index with AFL-style bucketing, driving corpus
+    growth and, for the ISA family, mutation scheduling. *)
 
 type t
 
@@ -7,8 +8,6 @@ val size : int
 (** Number of buckets in the map. *)
 
 val create : unit -> t
-val copy : t -> t
-val clear : t -> unit
 
 val edge : cls:int -> tag:int -> cause:int -> int
 (** Stable index of the (instruction class, outcome tag, cause) edge. *)
@@ -17,7 +16,6 @@ val add : t -> int -> bool
 (** Record a hit; [true] iff the edge is new or its count crossed a
     power-of-two-ish bucket — the "interesting input" signal. *)
 
-val hit : t -> int -> bool
 val edges : t -> int
 (** Number of distinct edges seen (nonzero buckets). *)
 

@@ -67,48 +67,27 @@ let edge_of op step =
 (* Running one input                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  divergence : (int * string) option;
-      (** index of the diverging op and the named mismatch *)
-  ops_run : int;
-  interesting : bool;
-      (** the input produced new coverage (when a map was given) *)
-}
-
 let state_prng (input : Input.t) =
   Miralis.Config.derive input.Input.seed "fuzz:state"
 
-let run ?coverage t (input : Input.t) =
+let run ?(edge = ignore) t (input : Input.t) =
   let sample = Diff.gen_sample t.diff (state_prng input) in
   Diff.stream_begin t.diff sample;
-  let divergence = ref None in
-  let interesting = ref false in
-  let ops_run = ref 0 in
-  let note op step =
-    (match coverage with
-    | Some map -> if Coverage.add map (edge_of op step) then interesting := true
-    | None -> ());
-    match step.Diff.verdict with
-    | Diff.Agree | Diff.Skip -> true
-    | Diff.Disagree msg ->
-        divergence := Some (!ops_run, msg);
-        false
-  in
-  let rec go = function
-    | [] -> ()
-    | op :: rest ->
+  let rec go i = function
+    | [] -> None
+    | op :: rest -> (
         let step =
           match op with
-          | Input.Op_instr i -> Diff.stream_step t.diff i
+          | Input.Op_instr instr -> Diff.stream_step t.diff instr
           | Input.Op_lines { mtip; msip; meip } ->
               Diff.set_lines t.diff ~mtip ~msip ~meip;
               { Diff.verdict = Diff.Agree; outcome = Diff.O_next }
         in
-        let ok = note op step in
-        incr ops_run;
-        if ok then go rest
+        edge (edge_of op step);
+        match step.Diff.verdict with
+        | Diff.Agree | Diff.Skip -> go (i + 1) rest
+        | Diff.Disagree msg -> Some (i, msg))
   in
-  go input.Input.ops;
-  { divergence = !divergence; ops_run = !ops_run; interesting = !interesting }
+  go 0 input.Input.ops
 
-let diverges t input = (run t input).divergence <> None
+let diverges t input = run t input <> None

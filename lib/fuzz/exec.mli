@@ -13,20 +13,9 @@ val create :
 
 val config : t -> Miralis.Config.t
 
-val op_class : Input.op -> int
-(** Coverage class of an operation (CSR group x op, xRET, WFI, ...). *)
-
-type result = {
-  divergence : (int * string) option;
-      (** index of the diverging op and the named mismatch *)
-  ops_run : int;
-  interesting : bool;
-      (** the input produced new coverage (when a map was given) *)
-}
-
-val run : ?coverage:Coverage.t -> t -> Input.t -> result
-(** Execute the input from its regenerated initial state. Stops at the
-    first divergence. When [coverage] is given, (op class x outcome x
-    cause) edges are recorded into it. *)
+val run : ?edge:(int -> unit) -> t -> Input.t -> (int * string) option
+(** Execute the input from its regenerated initial state, passing each
+    op's (op class x outcome x cause) coverage edge to [edge]. Stops at
+    the first divergence: [Some (op index, named mismatch)]. *)
 
 val diverges : t -> Input.t -> bool

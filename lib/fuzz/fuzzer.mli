@@ -1,46 +1,7 @@
-(** The coverage-guided differential fuzzing campaign.
+(** The ISA family: coverage-guided differential fuzzing of the VFM
+    emulator against the reference machine over privileged-instruction
+    streams ({!Input}, {!Exec}), with corpus mutation ({!Gen}) and
+    ddmin shrinking ({!Shrink}). Vectors carry the [fuzz] header;
+    [--inject-bug] plants a §6.5 emulator bug class. *)
 
-    Deterministic by construction: generation, scheduling and mutation
-    all draw from PRNG streams derived from the root seed, so equal
-    (seed, max_execs) campaigns produce identical corpora, coverage
-    maps and verdicts. *)
-
-type divergence = {
-  input : Input.t;  (** the diverging input, as found *)
-  shrunk : Input.t;  (** minimized reproduction *)
-  reason : string;  (** named first architectural mismatch *)
-  at_exec : int;  (** execution count when found *)
-}
-
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  coverage : Coverage.t;
-  corpus : Input.t list;  (** coverage-increasing inputs, discovery order *)
-  curve : (int * int) list;  (** (execs, distinct edges) samples *)
-  divergence : divergence option;
-}
-
-val run :
-  ?inject_bug:Miralis.Config.bug ->
-  ?corpus_dir:string ->
-  ?initial:Input.t list ->
-  ?progress:(int -> Coverage.t -> unit) ->
-  seed:int64 ->
-  max_execs:int ->
-  unit ->
-  result
-(** Run a campaign: seed the corpus with [initial] vectors plus fresh
-    grammar streams, then mutate coverage-increasing inputs until
-    [max_execs] executions or the first divergence (which is then
-    shrunk). With [corpus_dir], persists the corpus, coverage map and
-    any crash (plus its minimized form) under content-hash names. *)
-
-val replay :
-  ?inject_bug:Miralis.Config.bug ->
-  seed:int64 ->
-  (string * Input.t) list ->
-  (unit, string * int * string) Stdlib.result * Coverage.t
-(** Replay named vectors without mutation; [Error (name, op_index,
-    reason)] identifies the first diverging vector. *)
+include Difftest.S with type case = Input.t

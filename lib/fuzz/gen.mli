@@ -7,10 +7,6 @@
     randomness flows from the provided PRNG, so a campaign is a pure
     function of the root seed. *)
 
-val max_len : int
-(** Hard cap on ops per input. *)
-
-val gen_op : Miralis.Config.t -> Mir_util.Prng.t -> Input.op
 val fresh : Miralis.Config.t -> Mir_util.Prng.t -> len:int -> Input.t
 
 val mutate :

@@ -1,6 +1,7 @@
 module Instr = Mir_rv.Instr
 module Encode = Mir_rv.Encode
 module Decode = Mir_rv.Decode
+module Event = Mir_trace.Event
 
 (* A fuzz input is a self-contained, replayable test vector: a state
    seed (the initial architectural sample is regenerated from it, so
@@ -14,39 +15,6 @@ type op =
 type t = { seed : int64; ops : op list }
 
 let length t = List.length t.ops
-
-(* FNV-1a content hash: corpus file names and the determinism tests
-   both key on it, so it must depend only on the input's content. *)
-let hash t =
-  let h = ref 0xCBF29CE484222325L in
-  let mix v = h := Int64.mul (Int64.logxor !h v) 0x100000001B3L in
-  mix t.seed;
-  List.iter
-    (fun op ->
-      match op with
-      | Op_instr i -> mix (Int64.of_int (Encode.encode i))
-      | Op_lines { mtip; msip; meip } ->
-          mix
-            (Int64.logor 0x4C00000000000000L
-               (Int64.of_int
-                  ((if meip then 4 else 0)
-                  lor (if mtip then 2 else 0)
-                  lor if msip then 1 else 0))))
-    t.ops;
-  !h
-
-let equal a b =
-  a.seed = b.seed
-  && List.length a.ops = List.length b.ops
-  && List.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Op_instr i, Op_instr j -> Encode.encode i = Encode.encode j
-         | ( Op_lines { mtip = ta; msip = sa; meip = ea },
-             Op_lines { mtip = tb; msip = sb; meip = eb } ) ->
-             ta = tb && sa = sb && ea = eb
-         | _ -> false)
-       a.ops b.ops
 
 let pp_op fmt = function
   | Op_instr i -> Format.fprintf fmt "%s" (Instr.to_string i)
@@ -64,7 +32,8 @@ let pp fmt t =
 (* One flat JSON object per line: a header carrying the seed, then one
    line per operation. Instructions travel as their 32-bit encoding,
    so the decoder is the single source of truth for what a vector
-   means. The parser below is the exact inverse, not general JSON. *)
+   means. [op_of_fields] and [of_fields] are the exact inverse, fed
+   line by line by {!Difftest}. *)
 
 let to_jsonl t =
   let buf = Buffer.create 256 in
@@ -84,159 +53,24 @@ let to_jsonl t =
     t.ops;
   Buffer.contents buf
 
-(* Flat-object parser: {"key":value,...} with quoted-string, bool and
-   bare-int values (same shape as lib/trace's event lines). *)
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = Error (Printf.sprintf "%s at %d in %S" msg !pos line) in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && line.[!pos] = c then begin incr pos; true end else false
-  in
-  let parse_string () =
-    let start = !pos in
-    while !pos < n && line.[!pos] <> '"' do incr pos done;
-    if !pos >= n then None
-    else begin
-      let s = String.sub line start (!pos - start) in
-      incr pos;
-      Some s
-    end
-  in
-  let parse_scalar () =
-    skip_ws ();
-    if !pos < n && line.[!pos] = '"' then begin
-      incr pos;
-      parse_string ()
-    end
-    else begin
-      let start = !pos in
-      while
-        !pos < n
-        && (match line.[!pos] with
-           | 'a' .. 'z' | '0' .. '9' | '-' -> true
-           | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then None else Some (String.sub line start (!pos - start))
-    end
-  in
-  if not (expect '{') then fail "expected '{'"
-  else begin
-    let fields = ref [] in
-    let ok = ref true and err = ref None in
-    let stop = ref (expect '}') in
-    while (not !stop) && !ok do
-      (match
-         (skip_ws ();
-          if !pos < n && line.[!pos] = '"' then begin
-            incr pos;
-            parse_string ()
-          end
-          else None)
-       with
-      | None ->
-          ok := false;
-          err := Some "expected key"
-      | Some key ->
-          if not (expect ':') then begin
-            ok := false;
-            err := Some "expected ':'"
-          end
-          else begin
-            match parse_scalar () with
-            | None ->
-                ok := false;
-                err := Some "expected value"
-            | Some v ->
-                fields := (key, v) :: !fields;
-                if expect ',' then ()
-                else if expect '}' then stop := true
-                else begin
-                  ok := false;
-                  err := Some "expected ',' or '}'"
-                end
-          end);
-      ()
-    done;
-    if !ok then Ok (List.rev !fields)
-    else fail (Option.value !err ~default:"parse error")
-  end
-
 let ( let* ) = Result.bind
 
-let field fields key =
-  match List.assoc_opt key fields with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let bool_field fields key =
-  let* v = field fields key in
-  match v with
-  | "true" -> Ok true
-  | "false" -> Ok false
-  | _ -> Error (Printf.sprintf "field %S: bad bool %S" key v)
-
-let i64_field fields key =
-  let* v = field fields key in
-  match Int64.of_string_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S: bad int64 %S" key v)
-
-let op_of_line line =
-  let* fields = parse_fields line in
-  let* op = field fields "op" in
+let op_of_fields fields =
+  let* op = Event.field fields "op" in
   match op with
   | "i" ->
-      let* bits = i64_field fields "bits" in
+      let* bits = Event.i64_field fields "bits" in
       let bits = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
       (match Decode.decode bits with
       | Some i -> Ok (Op_instr i)
       | None -> Error (Printf.sprintf "bits 0x%x do not decode" bits))
   | "l" ->
-      let* mtip = bool_field fields "mtip" in
-      let* msip = bool_field fields "msip" in
-      let* meip = bool_field fields "meip" in
+      let* mtip = Event.bool_field fields "mtip" in
+      let* msip = Event.bool_field fields "msip" in
+      let* meip = Event.bool_field fields "meip" in
       Ok (Op_lines { mtip; msip; meip })
   | other -> Error (Printf.sprintf "unknown op kind %S" other)
 
-let of_jsonl s =
-  let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty input"
-  | header :: rest ->
-      let* fields = parse_fields header in
-      let* _ = field fields "fuzz" in
-      let* seed = i64_field fields "seed" in
-      let* ops =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* op = op_of_line line in
-            Ok (op :: acc))
-          (Ok []) rest
-      in
-      Ok { seed; ops = List.rev ops }
-
-let save t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
-
-let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> of_jsonl s
-  | exception Sys_error msg -> Error msg
+let of_fields header ops =
+  let* seed = Event.i64_field header "seed" in
+  Ok { seed; ops }

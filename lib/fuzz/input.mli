@@ -1,4 +1,5 @@
-(** Fuzz inputs: self-contained, replayable test vectors.
+(** Fuzz inputs of the ISA family: self-contained, replayable test
+    vectors.
 
     An input is a state seed — the initial architectural sample is
     regenerated deterministically from it, keeping vectors small —
@@ -16,17 +17,13 @@ type op =
 type t = { seed : int64; ops : op list }
 
 val length : t -> int
-
-val hash : t -> int64
-(** FNV-1a over the seed and encoded operations — stable across runs,
-    used for corpus file names and determinism checks. *)
-
-val equal : t -> t -> bool
-
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
 
 val to_jsonl : t -> string
-val of_jsonl : string -> (t, string) result
-val save : t -> path:string -> unit
-val load : path:string -> (t, string) result
+(** [{"fuzz":1,"seed":…}] header, then one line per operation. *)
+
+val op_of_fields : (string * string) list -> (op, string) result
+(** One parsed operation line. *)
+
+val of_fields : (string * string) list -> op list -> (t, string) result
+(** An input from its parsed header and its operations. *)

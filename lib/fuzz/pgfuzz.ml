@@ -11,12 +11,14 @@
    config-rooted PRNG streams as everything else, and a coarse
    edge map (op class x outcome) tracks behavioural coverage so the
    smoke run can show it actually exercised faults, PMP denials, and
-   both address spaces. *)
+   both address spaces. The campaign, replay and report are
+   {!Difftest}'s. *)
 
 module Prng = Mir_util.Prng
 module Pgdiff = Mir_verif.Pgdiff
 module Priv = Mir_rv.Priv
 module Cause = Mir_rv.Cause
+module Event = Mir_trace.Event
 
 (* ------------------------------------------------------------------ *)
 (* Op-stream generation                                                *)
@@ -158,37 +160,138 @@ let outcome_class : Pgdiff.outcome -> int = function
   | Pgdiff.Value _ -> 2
   | Pgdiff.Fault e -> 3 + Cause.exc_code e
 
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;  (** distinct (op class, outcome class) pairs seen *)
-  divergence : (int * Pgdiff.divergence) option;
-      (** (execution index, divergence) *)
-}
+(* ------------------------------------------------------------------ *)
+(* JSONL codec: one op per line under a {"pgdiff":1} header           *)
+(* ------------------------------------------------------------------ *)
 
-let run ?(tlb_entries = 16) ~seed ~max_execs () =
-  let prng = Miralis.Config.derive seed "pgfuzz/gen" in
-  let pair = Pgdiff.create_pair ~tlb_entries () in
-  let edges = Hashtbl.create 256 in
-  let on_outcome _i op out =
-    Hashtbl.replace edges (op_class op, outcome_class out) ()
+let kinds =
+  [ ("load", Pgdiff.Aload); ("store", Pgdiff.Astore); ("fetch", Pgdiff.Afetch) ]
+
+let line_of_op : Pgdiff.op -> string = function
+  | Pgdiff.Map { root; vpn; page; perms; fence_all } ->
+      Printf.sprintf
+        {|{"op":"map","root":%d,"vpn":%d,"page":%d,"perms":%d,"all":%b}|}
+        root vpn page perms fence_all
+  | Pgdiff.Unmap { root; vpn; fence_all } ->
+      Printf.sprintf {|{"op":"unmap","root":%d,"vpn":%d,"all":%b}|} root vpn
+        fence_all
+  | Pgdiff.Sfence { vaddr = None } -> {|{"op":"sfence"}|}
+  | Pgdiff.Sfence { vaddr = Some va } ->
+      Printf.sprintf {|{"op":"sfence","va":"0x%Lx"}|} va
+  | Pgdiff.Satp_switch n -> Printf.sprintf {|{"op":"satp","root":%d}|} n
+  | Pgdiff.Sum_toggle -> {|{"op":"sum"}|}
+  | Pgdiff.Mxr_toggle -> {|{"op":"mxr"}|}
+  | Pgdiff.Mprv_toggle -> {|{"op":"mprv"}|}
+  | Pgdiff.Priv_set p ->
+      Printf.sprintf {|{"op":"priv","priv":%d}|} (Priv.to_int p)
+  | Pgdiff.Pmp_set { slot; base_page; npages; perms } ->
+      Printf.sprintf {|{"op":"pmp","slot":%d,"page":%d,"pages":%d,"perms":%d}|}
+        slot base_page npages perms
+  | Pgdiff.Access { kind; vaddr; size; value } ->
+      Printf.sprintf {|{"op":"%s","va":"0x%Lx","size":%d,"value":"0x%Lx"}|}
+        (fst (List.find (fun (_, k) -> k = kind) kinds))
+        vaddr size value
+
+let ( let* ) = Result.bind
+
+(* The oracle indexes page tables, the data pool and PMP slots with
+   these fields, so out-of-range values are rejected, not replayed. *)
+let op_of_fields fields : (Pgdiff.op, string) result =
+  let int key lo hi =
+    let* v = Event.int_field fields key in
+    if v >= lo && v <= hi then Ok v
+    else Error (Printf.sprintf "field %S: %d outside [%d, %d]" key v lo hi)
   in
-  let t0 = Sys.time () in
-  let divergence = ref None in
-  let execs = ref 0 in
-  while !execs < max_execs && !divergence = None do
-    let ops = gen_ops prng in
-    (match Pgdiff.run_ops pair ~on_outcome ops with
-    | Some d -> divergence := Some (!execs, d)
-    | None -> ());
-    incr execs
-  done;
-  let seconds = Sys.time () -. t0 in
-  {
-    execs = !execs;
-    seconds;
-    execs_per_sec = (if seconds > 0. then float_of_int !execs /. seconds else 0.);
-    edges = Hashtbl.length edges;
-    divergence = !divergence;
-  }
+  let all () = Event.bool_field fields "all" in
+  let* op = Event.field fields "op" in
+  match (op, List.assoc_opt op kinds) with
+  | _, Some kind ->
+      let* vaddr = Event.i64_field fields "va" in
+      let* size = Event.int_field fields "size" in
+      let* value = Event.i64_field fields "value" in
+      if Array.mem size sizes then
+        Ok (Pgdiff.Access { kind; vaddr; size; value })
+      else Error (Printf.sprintf "access size %d is not 1, 2, 4 or 8" size)
+  | "map", _ ->
+      let* root = int "root" 0 1 in
+      let* vpn = int "vpn" 0 1023 in
+      let* page = int "page" 0 (Pgdiff.pool_pages - 1) in
+      let* perms = int "perms" 0 0xFF in
+      let* fence_all = all () in
+      Ok (Pgdiff.Map { root; vpn; page; perms; fence_all })
+  | "unmap", _ ->
+      let* root = int "root" 0 1 in
+      let* vpn = int "vpn" 0 1023 in
+      let* fence_all = all () in
+      Ok (Pgdiff.Unmap { root; vpn; fence_all })
+  | "sfence", _ when List.mem_assoc "va" fields ->
+      let* va = Event.i64_field fields "va" in
+      Ok (Pgdiff.Sfence { vaddr = Some va })
+  | "sfence", _ -> Ok (Pgdiff.Sfence { vaddr = None })
+  | "satp", _ ->
+      let* n = int "root" 0 2 in
+      Ok (Pgdiff.Satp_switch n)
+  | "sum", _ -> Ok Pgdiff.Sum_toggle
+  | "mxr", _ -> Ok Pgdiff.Mxr_toggle
+  | "mprv", _ -> Ok Pgdiff.Mprv_toggle
+  | "priv", _ -> (
+      let* p = Event.int_field fields "priv" in
+      match Priv.of_int p with
+      | Some p -> Ok (Pgdiff.Priv_set p)
+      | None -> Error (Printf.sprintf "bad privilege %d" p))
+  | "pmp", _ ->
+      let* slot = int "slot" 0 2 in
+      let* npages = int "pages" 1 Pgdiff.pool_pages in
+      let* base_page = int "page" 0 (Pgdiff.pool_pages - npages) in
+      let* perms = int "perms" 1 7 in
+      if npages land (npages - 1) <> 0 || base_page land (npages - 1) <> 0
+      then Error "pmp region must be a naturally aligned power of two"
+      else Ok (Pgdiff.Pmp_set { slot; base_page; npages; perms })
+  | other, None -> Error (Printf.sprintf "unknown paging op %S" other)
+
+(* ------------------------------------------------------------------ *)
+(* The family                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Family = struct
+  type case = Pgdiff.op list
+  type exec = Pgdiff.pair
+  type line = Pgdiff.op
+
+  let name = "paging"
+  let header = "pgdiff"
+
+  (* one machine pair per campaign; [run_ops] resets it per stream *)
+  let create ?inject_bug ~seed:_ () =
+    Difftest.no_bugs ~family:name inject_bug (Pgdiff.create_pair ())
+
+  let generator _ ~seed =
+    let prng = Miralis.Config.derive seed "pgfuzz/gen" in
+    fun _ -> gen_ops prng
+
+  let check pair ~edge ops =
+    Pgdiff.run_ops pair
+      ~on_outcome:(fun _ op out ->
+        edge ((op_class op * 32) + outcome_class out))
+      ops
+    |> Option.map (fun (d : Pgdiff.divergence) ->
+           Printf.sprintf "op %d %s: tlb %s, walker %s" d.Pgdiff.op_index
+             (match d.Pgdiff.op with
+             | Some op -> line_of_op op
+             | None -> "(final RAM hash)")
+             d.Pgdiff.tlb_outcome d.Pgdiff.walker_outcome)
+
+  let shrink _ ops = ops
+
+  let pp fmt ops =
+    Format.fprintf fmt "%d ops" (List.length ops);
+    List.iter (fun op -> Format.fprintf fmt "@\n  %s" (line_of_op op)) ops
+
+  let builtin = []
+  let to_jsonl ops =
+    String.concat "\n" ({|{"pgdiff":1}|} :: List.map line_of_op ops) ^ "\n"
+  let parse_line = op_of_fields
+  let of_lines _ ops = Ok ops
+end
+
+include Difftest.Make (Family)

@@ -1,17 +1,7 @@
-(** Paging op class for the differential fuzzer: generated streams of
-    page-table edits, satp switches, fences, SUM/MXR/MPRV flips, PMP
-    reconfigurations, and S/U/M memory probes, checked TLB-machine
-    against raw-walker-machine via {!Mir_verif.Pgdiff}. *)
+(** The paging family: generated streams of page-table edits, satp
+    switches, fences, SUM/MXR/MPRV flips, PMP reconfigurations, and
+    S/U/M memory probes, checked TLB machine against raw-walker machine
+    via {!Mir_verif.Pgdiff}. Vectors carry the [pgdiff] header and one
+    op per line; no builtin vectors, no shrinking. *)
 
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;  (** distinct (op class, outcome class) pairs seen *)
-  divergence : (int * Mir_verif.Pgdiff.divergence) option;
-      (** (execution index, divergence) *)
-}
-
-val run : ?tlb_entries:int -> seed:int64 -> max_execs:int -> unit -> result
-(** Run [max_execs] generated op streams (or stop at the first
-    divergence). Deterministic from [seed]. *)
+include Difftest.S with type case = Mir_verif.Pgdiff.op list

@@ -83,7 +83,7 @@ let simplify_pass exec input =
   per_index input 0
 
 let shrink exec (input : Input.t) =
-  match (Exec.run exec input).Exec.divergence with
+  match Exec.run exec input with
   | None -> input
   | Some (idx, _) ->
       let truncated = { input with Input.ops = take (idx + 1) input.Input.ops } in

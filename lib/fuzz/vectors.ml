@@ -9,8 +9,9 @@ module Csr_addr = Mir_rv.Csr_addr
    take their values from the vector's seeded initial state, so each
    vector is deterministic without needing value literals.
 
-   These are emitted to test/vectors/ as JSONL (see [emit]) and run
-   under `dune runtest` plus scripts/ci.sh as a regression suite. *)
+   `fuzz --emit-vectors` writes them to test/vectors/ as JSONL, and
+   `dune runtest` plus scripts/ci.sh replay them as a regression
+   suite. *)
 
 let csrw ?(rd = 0) csr src = Input.Op_instr (Instr.Csr { op = Instr.Csrrw; rd; src; csr })
 let csrs ?(rd = 0) csr src = Input.Op_instr (Instr.Csr { op = Instr.Csrrs; rd; src; csr })
@@ -154,12 +155,3 @@ let builtin =
           ecall;
         ] );
   ]
-
-let emit ~dir =
-  Corpus.ensure_dir dir;
-  List.map
-    (fun (name, input) ->
-      let path = Filename.concat dir (name ^ ".jsonl") in
-      Input.save input ~path;
-      path)
-    builtin

@@ -3,8 +3,4 @@
     interrupt lines, out-of-range vPMP probes, unimplemented CSRs. *)
 
 val builtin : (string * Input.t) list
-(** Named vectors, replayable with {!Fuzzer.replay}. *)
-
-val emit : dir:string -> string list
-(** Write each builtin vector to [<dir>/<name>.jsonl]; returns the
-    paths. Used to (re)generate the checked-in [test/vectors/]. *)
+(** Named vectors: the ISA family's builtins ({!Fuzzer}). *)

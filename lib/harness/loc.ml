@@ -59,20 +59,22 @@ let dir_loc root dir =
           else acc)
         0 files
 
+(* One row per lib/ subdirectory, found on disk so a new library can
+   never be left out, then the top-level trees. *)
 let repo_inventory () =
   match project_root () with
   | None -> []
   | Some root ->
       let libs =
-        [
-          ("util", "lib/util"); ("rv (machine)", "lib/rv");
-          ("asm", "lib/asm"); ("sbi", "lib/sbi");
-          ("firmware", "lib/firmware"); ("kernel", "lib/kernel");
-          ("core (Miralis)", "lib/core"); ("policies", "lib/policies");
-          ("platform", "lib/platform"); ("verif", "lib/verif");
-          ("workloads", "lib/workloads"); ("harness", "lib/harness");
-          ("tests", "test"); ("bench", "bench"); ("examples", "examples");
-          ("bin", "bin");
-        ]
+        match Sys.readdir (Filename.concat root "lib") with
+        | exception Sys_error _ -> []
+        | dirs ->
+            Array.to_list dirs
+            |> List.filter (fun d ->
+                   Sys.is_directory (Filename.concat root ("lib/" ^ d)))
+            |> List.sort String.compare
+            |> List.map (fun d -> "lib/" ^ d)
       in
-      List.map (fun (name, dir) -> (name, dir_loc root dir)) libs
+      List.map
+        (fun dir -> (dir, dir_loc root dir))
+        (libs @ [ "bin"; "bench"; "examples"; "test" ])

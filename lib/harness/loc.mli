@@ -15,4 +15,6 @@ val table1 : unit -> (string * int) list
 (** (subsystem, LoC) rows for the VFM core, ending with a total. *)
 
 val repo_inventory : unit -> (string * int) list
-(** LoC per library in the whole repository. *)
+(** Non-blank [.ml]/[.mli] lines per directory: one row for every
+    subdirectory of [lib/] (named ["lib/<dir>"]), then [bin], [bench],
+    [examples] and [test]. *)

@@ -48,7 +48,16 @@ val of_json : string -> (t, string) result
 val parse_fields : string -> ((string * string) list, string) result
 (** The flat-object parser behind {!of_json}: ["key":value,...] with
     string, bool and integer values, returned in order. Shared with
-    the other JSONL artifact formats (schedules). *)
+    the other JSONL artifact formats (schedules, fuzz vectors). *)
+
+val field : (string * string) list -> string -> (string, string) result
+val int_field : (string * string) list -> string -> (int, string) result
+
+val i64_field : (string * string) list -> string -> (int64, string) result
+(** Accepts the full unsigned hex range. *)
+
+val bool_field : (string * string) list -> string -> (bool, string) result
+(** Typed lookups into {!parse_fields} output; [Error] names the key. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_kind : Format.formatter -> kind -> unit

@@ -60,23 +60,9 @@ let save t ~path =
         t.switches)
 
 let ( let* ) = Result.bind
-
-let field fields key =
-  match List.assoc_opt key fields with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let int_field fields key =
-  let* v = field fields key in
-  match int_of_string_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S: bad int %S" key v)
-
-let i64_field fields key =
-  let* v = field fields key in
-  match Int64.of_string_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S: bad int64 %S" key v)
+let field = Event.field
+let int_field = Event.int_field
+let i64_field = Event.i64_field
 
 let parse_meta line =
   let* fields = Event.parse_fields line in

@@ -306,80 +306,3 @@ let run_case ?(on_segment = fun _ _ -> ()) case =
             interp_state = Printf.sprintf "%#Lx" hb;
           }
       else None
-
-(* ------------------------------------------------------------------ *)
-(* JSONL vectors                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* One flat JSON object per line: a header with the register/data
-   seed, then one line per code word and one per segment budget, in
-   order.  Same family of formats as lib/fuzz's Input vectors; the
-   parser below is the exact inverse of [to_jsonl], not general
-   JSON. *)
-
-let to_jsonl c =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"blockdiff\":1,\"seed\":\"0x%Lx\"}\n" c.seed);
-  Array.iter
-    (fun w -> Buffer.add_string buf (Printf.sprintf "{\"op\":\"w\",\"bits\":\"0x%x\"}\n" w))
-    c.words;
-  Array.iter
-    (fun s -> Buffer.add_string buf (Printf.sprintf "{\"op\":\"s\",\"steps\":%d}\n" s))
-    c.segs;
-  Buffer.contents buf
-
-let of_jsonl s =
-  let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty blockdiff vector"
-  | header :: rest -> (
-      match
-        Scanf.sscanf header "{\"blockdiff\":1,\"seed\":\"0x%Lx\"}" Fun.id
-      with
-      | exception _ -> Error ("bad blockdiff header: " ^ header)
-      | seed -> (
-          let words = ref [] and segs = ref [] and err = ref None in
-          List.iter
-            (fun line ->
-              if !err = None then
-                match
-                  Scanf.sscanf line "{\"op\":\"w\",\"bits\":\"0x%x\"}" Fun.id
-                with
-                | w -> words := w :: !words
-                | exception _ -> (
-                    match
-                      Scanf.sscanf line "{\"op\":\"s\",\"steps\":%d}" Fun.id
-                    with
-                    | s -> segs := s :: !segs
-                    | exception _ -> err := Some ("bad vector line: " ^ line)))
-            rest;
-          match !err with
-          | Some e -> Error e
-          | None ->
-              let words = Array.of_list (List.rev !words) in
-              let segs = Array.of_list (List.rev !segs) in
-              if Array.length words = 0 || Array.length words > max_words then
-                Error "blockdiff vector: code must be 1..256 words"
-              else if
-                Array.length segs = 0 || Array.exists (fun s -> s < 1) segs
-              then Error "blockdiff vector: segments must be positive"
-              else Ok { seed; words; segs }))
-
-let save c ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl c))
-
-let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> of_jsonl s
-  | exception Sys_error msg -> Error msg

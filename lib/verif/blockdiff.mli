@@ -18,11 +18,6 @@ val pp_case : Format.formatter -> case -> unit
 val max_words : int
 (** Code-window capacity in instruction slots (256). *)
 
-val payload_a : int
-val payload_b : int
-(** The two valid instruction encodings pinned in x14/x15 for
-    self-modifying stores (addi x5,x5,1 and jal x0,+8). *)
-
 type divergence = {
   seg_index : int;  (** -1 when the final RAM hashes disagree *)
   field : string;  (** which architectural field disagreed *)
@@ -44,8 +39,3 @@ val run_case :
 (** Run one case on a freshly built pair of machines; returns the
     first divergence (None = the engine matched the interpreter at
     every segment boundary and in final RAM). *)
-
-val save : case -> path:string -> unit
-val load : path:string -> (case, string) result
-(** JSONL vector round-trip ([load] is the exact inverse of
-    [save]). *)

@@ -71,31 +71,6 @@ type op =
     }
   | Access of { kind : access_kind; vaddr : int64; size : int; value : int64 }
 
-let pp_op fmt (op : op) =
-  match op with
-  | Map { root; vpn; page; perms; fence_all } ->
-      Format.fprintf fmt "map root%d vpn=%#x page=%d perms=%#x %s" root vpn
-        page perms
-        (if fence_all then "sfence" else "sfence.addr")
-  | Unmap { root; vpn; fence_all } ->
-      Format.fprintf fmt "unmap root%d vpn=%#x %s" root vpn
-        (if fence_all then "sfence" else "sfence.addr")
-  | Sfence { vaddr = None } -> Format.fprintf fmt "sfence.vma"
-  | Sfence { vaddr = Some va } -> Format.fprintf fmt "sfence.vma %#Lx" va
-  | Satp_switch n -> Format.fprintf fmt "satp<-%s"
-      (if n = 2 then "bare" else "root" ^ string_of_int n)
-  | Sum_toggle -> Format.fprintf fmt "sum^=1"
-  | Mxr_toggle -> Format.fprintf fmt "mxr^=1"
-  | Mprv_toggle -> Format.fprintf fmt "mprv^=1(mpp=S)"
-  | Priv_set p -> Format.fprintf fmt "priv<-%s" (Priv.to_string p)
-  | Pmp_set { slot; base_page; npages; perms } ->
-      Format.fprintf fmt "pmp%d<-pool[%d..+%d) perms=%#x" slot base_page
-        npages perms
-  | Access { kind; vaddr; size; _ } ->
-      Format.fprintf fmt "%s%d %#Lx"
-        (match kind with Aload -> "ld" | Astore -> "st" | Afetch -> "ifetch")
-        size vaddr
-
 type outcome = Value of int64 | Stored | Fault of Cause.exc | Nothing
 
 let outcome_to_string = function
@@ -282,19 +257,19 @@ let apply t (op : op) : outcome =
 
 type divergence = {
   op_index : int;  (* -1: final RAM hash mismatch *)
-  op : string;
+  op : op option;  (* None: final RAM hash mismatch *)
   tlb_outcome : string;
   walker_outcome : string;
 }
 
 type pair = { tlb : side; walker : side }
 
-let create_pair ?(tlb_entries = 16) () =
-  { tlb = create ~tlb_entries; walker = create ~tlb_entries:0 }
+let create_pair () =
+  { tlb = create ~tlb_entries:16; walker = create ~tlb_entries:0 }
 
 (* Run one op stream on both sides; [on_outcome] sees (op index, op,
    outcome) for coverage accounting.  Returns the first divergence. *)
-let run_ops pair ?(on_outcome = fun _ _ _ -> ()) ops =
+let run_ops pair ~on_outcome ops =
   reset pair.tlb;
   reset pair.walker;
   let div = ref None in
@@ -310,7 +285,7 @@ let run_ops pair ?(on_outcome = fun _ _ _ -> ()) ops =
              Some
                {
                  op_index = !i;
-                 op = Format.asprintf "%a" pp_op op;
+                 op = Some op;
                  tlb_outcome = outcome_to_string a;
                  walker_outcome = outcome_to_string b;
                };
@@ -328,7 +303,7 @@ let run_ops pair ?(on_outcome = fun _ _ _ -> ()) ops =
         Some
           {
             op_index = -1;
-            op = "final RAM hash";
+            op = None;
             tlb_outcome = Printf.sprintf "%#Lx" ha;
             walker_outcome = Printf.sprintf "%#Lx" hb;
           }

@@ -31,8 +31,6 @@ type op =
       value : int64;
     }
 
-val pp_op : Format.formatter -> op -> unit
-
 type outcome = Value of int64 | Stored | Fault of Mir_rv.Cause.exc | Nothing
 
 val pool_pages : int
@@ -40,16 +38,16 @@ val pool_pages : int
 
 type divergence = {
   op_index : int;  (** -1 when the final RAM hashes disagree *)
-  op : string;
+  op : op option;  (** [None] when the final RAM hashes disagree *)
   tlb_outcome : string;
   walker_outcome : string;
 }
 
 type pair
 
-val create_pair : ?tlb_entries:int -> unit -> pair
+val create_pair : unit -> pair
 (** Build the two machines once; [run_ops] resets them per stream. *)
 
 val run_ops :
-  pair -> ?on_outcome:(int -> op -> outcome -> unit) -> op list ->
+  pair -> on_outcome:(int -> op -> outcome -> unit) -> op list ->
   divergence option

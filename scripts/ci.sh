@@ -37,30 +37,35 @@ dune exec bin/miralis_sim.exe -- run --platform visionfive2 --mode miralis \
 dune exec bin/miralis_sim.exe -- run --platform visionfive2 --mode miralis \
   --replay "$trace"
 
-# Differential-fuzzing smoke: a short deterministic campaign must find
-# no divergence between the reference machine and the emulator (~10s),
-# and the checked-in conformance vectors must replay green.
-dune exec bin/miralis_sim.exe -- fuzz --max-execs 2000
+# Differential-testing smoke (DESIGN.md §6): one short fixed-seed
+# campaign per family must find no divergence — isa (the emulator
+# against the reference machine, ~1s), paging (the TLB machine against
+# the raw-walker machine over page-table edits, satp switches, fences,
+# SUM/MXR/MPRV flips and PMP reconfigurations), blocks (the decoded
+# basic-block engine against the per-instruction interpreter over
+# self-modifying stores, mid-block traps, vm-epoch bumps and fence.i,
+# ~12s) and ace (the ACE policy against the pure steal/return model on
+# two harts). Exit 1 on the first divergence, after shrinking.
+dune exec bin/miralis_sim.exe -- fuzz --family isa --max-execs 2000
+dune exec bin/miralis_sim.exe -- fuzz --family paging --max-execs 10000
+dune exec bin/miralis_sim.exe -- fuzz --family blocks --max-execs 10000
+dune exec bin/miralis_sim.exe -- fuzz --family ace --max-execs 100
+
+# Every checked-in vector of every family replays green; each file's
+# header picks its family.
 dune exec bin/miralis_sim.exe -- fuzz --replay test/vectors
 
-# Paging fast-path smoke: the TLB machine and the raw-walker machine
-# must agree over 10k generated streams of page-table edits, satp
-# switches, fences, SUM/MXR/MPRV flips and PMP reconfigurations.
-dune exec bin/miralis_sim.exe -- fuzz --paging --max-execs 10000
-
-# Block-engine smoke: the decoded basic-block engine must stay
-# bit-exact with the per-instruction interpreter over 10k generated
-# guest programs (self-modifying stores, mid-block traps, vm-epoch
-# bumps, fence.i; exit 1 on the first divergence, ~7s).
-dune exec bin/miralis_sim.exe -- fuzz --blocks --max-execs 10000
-
-# ACE-policy differential smoke: a short fixed-seed COVH campaign
-# (tsm_info / promote / run_vcpu / teecall / destroy / interrupts on
-# two harts) must find no divergence between the real policy and the
-# pure steal/return model, and the checked-in ace-*.jsonl vectors
-# must replay green.
-dune exec bin/miralis_sim.exe -- fuzz --policy ace --max-execs 100
-dune exec bin/miralis_sim.exe -- fuzz --policy ace --replay test/vectors
+# The builtin vectors regenerate byte for byte: every file
+# `fuzz --emit-vectors` writes must equal its checked-in copy.
+emitted=$(mktemp -d /tmp/miralis_vectors.XXXXXX)
+trap 'rm -rf "$trace" "$emitted"' EXIT
+dune exec bin/miralis_sim.exe -- fuzz --emit-vectors "$emitted"
+for f in "$emitted"/*.jsonl; do
+  cmp "$f" "test/vectors/$(basename "$f")" || {
+    echo "ci: emitted vector $(basename "$f") differs from test/vectors/" >&2
+    exit 1
+  }
+done
 
 # Schedule-exploration smoke: with no injected bug, every scenario's
 # isolation oracles must stay clean under the fixed-seed random and

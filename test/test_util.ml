@@ -1,4 +1,5 @@
-(* Utility-layer tests: statistics, PRNG, table rendering. *)
+(* Utility-layer tests: statistics, PRNG, table rendering, and the
+   lines-of-code inventory. *)
 
 module Stats = Mir_util.Stats
 module Prng = Mir_util.Prng
@@ -106,6 +107,35 @@ let test_series_chart () =
   in
   Alcotest.(check bool) "missing value dashed" true (contains_sub c "-")
 
+(* Every lib/ subdirectory gets a non-empty inventory row, so the
+   per-PR net LoC covers the whole tree. *)
+let test_inventory_covers_lib () =
+  match Mir_harness.Loc.project_root () with
+  | None -> Alcotest.fail "source tree not found"
+  | Some root ->
+      let rows = Mir_harness.Loc.repo_inventory () in
+      let libs =
+        Sys.readdir (Filename.concat root "lib")
+        |> Array.to_list
+        |> List.filter (fun d ->
+               Sys.is_directory (Filename.concat root ("lib/" ^ d)))
+      in
+      Alcotest.(check bool)
+        "lib/ has subdirectories" true
+        (List.length libs > 10);
+      List.iter
+        (fun d ->
+          match List.assoc_opt ("lib/" ^ d) rows with
+          | Some n when n > 0 -> ()
+          | Some _ -> Alcotest.failf "lib/%s counts no lines" d
+          | None -> Alcotest.failf "lib/%s has no inventory row" d)
+        libs;
+      List.iter
+        (fun d ->
+          Alcotest.(check bool) (d ^ " has a row") true
+            (List.mem_assoc d rows))
+        [ "bin"; "bench"; "examples"; "test" ]
+
 let () =
   Alcotest.run "util"
     [
@@ -128,5 +158,10 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "bar chart" `Quick test_bar_chart;
           Alcotest.test_case "series chart" `Quick test_series_chart;
+        ] );
+      ( "loc",
+        [
+          Alcotest.test_case "inventory covers every lib/ directory" `Quick
+            test_inventory_covers_lib;
         ] );
     ]

@@ -416,6 +416,68 @@ let test_offload_set_timer () =
     (Bits.test (Csr_file.read_raw hart.Hart.csr C.mip) 5);
   Alcotest.(check int) "counted" 1 stats.Miralis.Vfm_stats.offload_set_timer
 
+(* A guest-chosen hart mask must never index past the vCLINT: a mask
+   naming a hart outside [0, nharts) — negative or huge bases
+   included — is answered with SBI_ERR_INVALID_PARAM and posts
+   nothing; base -1 and in-range masks post exactly their targets. *)
+let test_offload_hart_mask_bounds () =
+  let machine = { host with Machine.nharts = 2; ram_size = 64 * 1024 } in
+  let cfg = Config.make ~machine () in
+  List.iter
+    (fun (name, ext, fid, pending) ->
+      List.iter
+        (fun (mask, base, expect) ->
+          let m = Machine.create machine in
+          let hart = m.Machine.harts.(0) in
+          let vclint = Vclint.create ~nharts:2 in
+          let stats = Miralis.Vfm_stats.create () in
+          Csr_file.write_raw hart.Hart.csr C.mepc 0x80400000L;
+          Hart.set hart 17 ext;
+          Hart.set hart 16 fid;
+          Hart.set hart 10 mask;
+          Hart.set hart 11 base;
+          let case = Printf.sprintf "%s mask=%Ld base=%Ld" name mask base in
+          (match Miralis.Offload.try_ecall cfg m vclint stats hart with
+          | Miralis.Offload.Resume_at pc ->
+              Helpers.check_i64 (case ^ ": skips ecall") 0x80400004L pc
+          | Miralis.Offload.Not_handled ->
+              Alcotest.fail (case ^ ": not handled"));
+          Helpers.check_i64 (case ^ ": a0")
+            (if expect = None then Mir_sbi.Sbi.err_invalid_param
+             else Mir_sbi.Sbi.success)
+            (Hart.get hart 10);
+          let targets = Option.value expect ~default:[] in
+          for h = 0 to 1 do
+            let posted = List.mem h targets in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: hart %d flag" case h)
+              posted (pending vclint h);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: hart %d msip" case h)
+              posted
+              (Clint.msip m.Machine.clint h)
+          done)
+        [
+          (1L, -2L, None);
+          (1L, Int64.max_int, None);
+          (1L, 2L, None);
+          (3L, 1L, None);
+          (Int64.min_int, 0L, None);
+          (0L, 5L, Some []);
+          (1L, 0L, Some [ 0 ]);
+          (2L, 0L, Some [ 1 ]);
+          (1L, 1L, Some [ 1 ]);
+          (3L, 0L, Some [ 0; 1 ]);
+          (0L, -1L, Some [ 0; 1 ]);
+        ])
+    [
+      ( "ipi",
+        Mir_sbi.Sbi.ext_ipi,
+        Mir_sbi.Sbi.fid_ipi_send_ipi,
+        Vclint.os_ipi_pending );
+      ("rfence", Mir_sbi.Sbi.ext_rfence, 0L, Vclint.rfence_pending);
+    ]
+
 let test_offload_rejects_unknown_ext () =
   let m, hart, cfg, vclint, stats = offload_setup () in
   Hart.set hart 17 0x999L;
@@ -501,6 +563,8 @@ let () =
       ( "offload",
         [
           Alcotest.test_case "set_timer" `Quick test_offload_set_timer;
+          Alcotest.test_case "hart mask bounds" `Quick
+            test_offload_hart_mask_bounds;
           Alcotest.test_case "unknown ext" `Quick
             test_offload_rejects_unknown_ext;
           Alcotest.test_case "disabled" `Quick test_offload_disabled_defers;
