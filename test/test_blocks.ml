@@ -43,6 +43,16 @@ let fail_divergence name (d : Blockdiff.divergence) =
     d.Blockdiff.interp_state
 
 (* ------------------------------------------------------------------ *)
+(* Checked-in vectors replay green                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The checked-in vectors with the [blockdiff] header replay green
+   through the blocks family's codec and the Blockdiff oracle. *)
+let test_vectors_replay () =
+  let v = Helpers.replay_family_vectors (module Blockfuzz) in
+  check_int "block vectors" 8 (List.length v.Mir_fuzz.Difftest.vectors)
+
+(* ------------------------------------------------------------------ *)
 (* Step-count equivalence                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -431,6 +441,8 @@ let () =
     [
       ( "oracle",
         [
+          Alcotest.test_case "checked-in vectors replay green" `Quick
+            test_vectors_replay;
           Alcotest.test_case "step-count equivalence (all budgets)" `Quick
             test_step_count_equivalence;
         ] );

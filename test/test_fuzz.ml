@@ -8,11 +8,6 @@ module Config = Miralis.Config
 
 let seed = Config.default_seed
 
-(* cwd is the test directory under `dune runtest`, the project root
-   under a bare `dune exec` *)
-let vectors_dir () =
-  if Sys.file_exists "vectors" then "vectors" else "test/vectors"
-
 (* Same seed, same budget -> byte-identical campaign: corpus contents,
    coverage map and coverage curve. *)
 let test_deterministic () =
@@ -90,25 +85,24 @@ let test_coverage_roundtrip () =
       Alcotest.(check int) "total" (Fuzz.Coverage.total c)
         (Fuzz.Coverage.total c')
 
-(* Every family's codec round-trips its builtin vectors and the cases
-   of a short campaign (paging has no builtins, so generated cases are
-   its only ones): decode . encode is the identity on the text. *)
-let test_jsonl_roundtrip () =
-  List.iter
-    (fun (module D : Difftest.S) ->
-      let generated = (D.run ~seed ~max_execs:12 ()).D.corpus in
-      if generated = [] then Alcotest.failf "%s: no generated cases" D.name;
-      List.iteri
-        (fun i c ->
-          let text = D.to_jsonl c in
-          match D.decode ~file:(Printf.sprintf "%s-%d" D.name i) text with
-          | Error e -> Alcotest.fail e
-          | Ok c' ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s case %d round-trips" D.name i)
-                text (D.to_jsonl c'))
-        (List.map snd D.builtin @ generated))
-    Fuzz.Families.all
+(* A family's codec round-trips its builtin vectors and the cases of a
+   short campaign (paging has no builtins, so generated cases are its
+   only ones): decode . encode is the identity on the text. *)
+let jsonl_roundtrip (module D : Difftest.S) =
+  let generated = (D.run ~seed ~max_execs:12 ()).D.corpus in
+  if generated = [] then Alcotest.failf "%s: no generated cases" D.name;
+  List.iteri
+    (fun i c ->
+      let text = D.to_jsonl c in
+      match D.decode ~file:(Printf.sprintf "%s-%d" D.name i) text with
+      | Error e -> Alcotest.fail e
+      | Ok c' ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s case %d round-trips" D.name i)
+            text (D.to_jsonl c'))
+    (List.map snd D.builtin @ generated)
+
+let test_jsonl_roundtrip () = List.iter jsonl_roundtrip Fuzz.Families.all
 
 (* The built-in conformance vectors agree on a clean emulator... *)
 let test_builtin_vectors_agree () =
@@ -138,7 +132,7 @@ let test_irq_vector_detects_priority_bug () =
    they are the regression suite, frozen on disk. Each file is claimed
    by exactly one family, picked by its header. *)
 let test_checked_in_vectors_agree () =
-  let dir = vectors_dir () in
+  let dir = Helpers.vectors_dir () in
   let headers =
     List.map (fun (module D : Difftest.S) -> D.header) Fuzz.Families.all
   in
@@ -256,6 +250,14 @@ let test_corpus_dir_roundtrip () =
   Helpers.check_bool "coverage map saved" true
     (Sys.file_exists (Filename.concat dir "coverage.txt"))
 
+(* The checked-in ace vectors, picked by their [ace] header, replay
+   green through the ace family's codec and policy model. *)
+let test_ace_vectors_agree () =
+  let v = Helpers.replay_family_vectors (module Fuzz.Acefuzz) in
+  Alcotest.(check int) "ace vectors" 6 (List.length v.Difftest.vectors)
+
+let test_ace_jsonl_roundtrip () = jsonl_roundtrip (module Fuzz.Acefuzz)
+
 (* A short generated campaign against the clean policy stays
    divergence-free and exercises a healthy slice of the op/outcome
    space. *)
@@ -297,6 +299,10 @@ let () =
         ] );
       ( "ace",
         [
+          Alcotest.test_case "checked-in ace vectors agree" `Quick
+            test_ace_vectors_agree;
+          Alcotest.test_case "ace jsonl round-trip" `Quick
+            test_ace_jsonl_roundtrip;
           Alcotest.test_case "ace campaign clean" `Slow
             test_ace_campaign_clean;
         ] );
