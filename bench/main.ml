@@ -1,36 +1,16 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (see DESIGN.md for the experiment index), plus a
-   Bechamel microbenchmark section for the simulator's own hot
-   primitives.
+   paper's evaluation (see DESIGN.md for the experiment index), plus
+   figures about the simulator itself — record/replay overhead, the
+   symbolic prover, the ACE world-switch cost, the fleet, the analyzer
+   — and Bechamel microbenchmarks of its hot primitives. perfbench/
+   times the simulator's workloads for comparisons between commits.
 
    Usage:
      bench/main.exe               run everything
      bench/main.exe <name>...     run selected experiments
    Names: table1 table2 table3 table4 table5 fig3 fig10 fig11 fig12
-          fig13 fig14 boottime sstc q1 q4 trace sym ips explore ace
-          fleet lint micro *)
-
-module T = Mir_experiments.Exp_tables
-module F = Mir_experiments.Exp_figs
-
-let experiments =
-  [
-    ("table1", fun () -> T.table1 ());
-    ("table2", fun () -> T.table2 ());
-    ("table3", fun () -> T.table3 ());
-    ("table4", fun () -> T.table4 ());
-    ("table5", fun () -> T.table5 ());
-    ("fig3", fun () -> F.fig3 ());
-    ("fig10", fun () -> F.fig10 ());
-    ("fig11", fun () -> F.fig11 ());
-    ("fig12", fun () -> F.fig12 ());
-    ("fig13", fun () -> F.fig13 ());
-    ("fig14", fun () -> F.fig14 ());
-    ("boottime", fun () -> F.boot_time ());
-    ("sstc", fun () -> F.sstc_projection ());
-    ("q1", fun () -> F.q1 ());
-    ("q4", fun () -> F.q4 ());
-  ]
+          fig13 fig14 boottime sstc q1 q4 trace sym ace fleet lint
+          micro. An unknown name exits 2 before anything runs. *)
 
 (* ------------------------------------------------------------------ *)
 (* Recording / replay overhead (BENCH_trace.json)                      *)
@@ -86,177 +66,17 @@ let trace_bench () =
   Printf.printf "  replay (verifying) %10.0f instrs/sec\n" ips_replay;
   Printf.printf "  events=%d checkpoints=%d divergence=%b\n" nevents
     ncheckpoints diverged;
-  let oc = open_out "BENCH_trace.json" in
-  Printf.fprintf oc
-    "{\n  \"ips_off\": %.0f,\n  \"ips_recording\": %.0f,\n  \
-     \"ips_replay\": %.0f,\n  \"recording_overhead\": %.3f,\n  \
-     \"events\": %d,\n  \"checkpoints\": %d,\n  \"diverged\": %b\n}\n"
-    ips_off ips_on ips_replay overhead nevents ncheckpoints diverged;
-  close_out oc;
-  print_endline "  wrote BENCH_trace.json"
-
-(* ------------------------------------------------------------------ *)
-(* Memory-system fast path: instrs/sec with paging on (BENCH_ips.json) *)
-(* ------------------------------------------------------------------ *)
-
-(* A Linux-boot-shaped virtualized workload: Sv39 on, then a loop of
-   native compute, timer programming, misaligned accesses (firmware
-   MPRV emulation through the page tables), wfi ticks and console
-   MMIO.  The Loop opcode re-enters the script from the top, so satp
-   is rewritten once per iteration — a context-switch-shaped TLB flush
-   rate rather than an unrealistically static address space.  Run once
-   with the TLB disabled (every access takes the full Sv39 walk) and
-   once with the default TLB; the ratio is the fast-path speedup. *)
-let ips_bench () =
-  print_endline "\nMemory-system fast path (S-mode paging on)";
-  print_endline "==========================================";
-  let module Setup = Mir_harness.Setup in
-  let module Script = Mir_kernel.Script in
-  let budget =
-    match Sys.getenv_opt "MIRALIS_IPS_BUDGET" with
-    | Some s -> Int64.of_string s
-    | None -> 4_000_000L
-  in
-  let platform tlb_entries block_engine =
-    let p = Mir_platform.Platform.visionfive2 in
-    {
-      p with
-      Mir_platform.Platform.machine =
-        { p.Mir_platform.Platform.machine with
-          Mir_rv.Machine.tlb_entries; nharts = 1; block_engine };
-    }
-  in
-  let script sys =
-    Script.
+  Report.(
+    write "trace"
       [
-        Enable_paging (Mir_kernel.Paging.identity_satp sys.Setup.machine);
-        Compute 3000L;
-        Rdtime;
-        Set_timer 400L;
-        Misaligned_load;
-        Compute 3000L;
-        Misaligned_store;
-        Tick_wfi 150L;
-        Putchar '.';
-        Loop 1_000_000_000L;
-        End;
-      ]
-  in
-  let measure tlb_entries block_engine =
-    let sys =
-      Setup.create (platform tlb_entries block_engine) Setup.Virtualized
-    in
-    let t0 = Unix.gettimeofday () in
-    Setup.run_scripts ~max_instrs:budget sys [ script sys ];
-    let dt = Unix.gettimeofday () -. t0 in
-    let instrs = sys.Setup.machine.Mir_rv.Machine.instr_count in
-    (float_of_int instrs /. dt, sys)
-  in
-  let default_tlb =
-    Mir_rv.Machine.default_config.Mir_rv.Machine.tlb_entries
-  in
-  let ips_walker, _ = measure 0 false in
-  let ips_tlb, sys = measure default_tlb false in
-  let ips_blocks, bsys = measure default_tlb true in
-  let hits, misses, flushes = Mir_rv.Machine.tlb_totals sys.Setup.machine in
-  let bstats = Mir_rv.Machine.block_stats bsys.Setup.machine in
-  let bhit = Mir_rv.Machine.block_hit_rate bsys.Setup.machine in
-  let speedup = ips_tlb /. ips_walker in
-  let speedup_blocks = ips_blocks /. ips_tlb in
-  let hit_rate =
-    if hits + misses = 0 then 0.
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
-  Printf.printf "  walker only (tlb=0) %10.0f instrs/sec\n" ips_walker;
-  Printf.printf "  software TLB        %10.0f instrs/sec  (%.2fx)\n" ips_tlb
-    speedup;
-  Printf.printf "  decoded blocks      %10.0f instrs/sec  (%.2fx vs tlb)\n"
-    ips_blocks speedup_blocks;
-  Printf.printf "  tlb: %d hits / %d misses (%.1f%% hit rate), %d flushes\n"
-    hits misses (100. *. hit_rate) flushes;
-  Printf.printf
-    "  blocks: %d compiled, %d invalidated, %d dispatches, %.2f%% hit rate\n"
-    bstats.Mir_rv.Block.compiled bstats.Mir_rv.Block.invalidated
-    bstats.Mir_rv.Block.dispatches (100. *. bhit);
-  let oc = open_out "BENCH_ips.json" in
-  Printf.fprintf oc
-    "{\n  \"budget_instrs\": %Ld,\n  \"ips_walker\": %.0f,\n  \
-     \"ips_tlb\": %.0f,\n  \"speedup\": %.3f,\n  \"tlb_hits\": %d,\n  \
-     \"tlb_misses\": %d,\n  \"tlb_hit_rate\": %.4f,\n  \
-     \"tlb_flushes\": %d,\n  \"ips_blocks\": %.0f,\n  \
-     \"speedup_blocks\": %.3f,\n  \"block_hit_rate\": %.4f,\n  \
-     \"blocks_compiled\": %d,\n  \"block_invalidations\": %d,\n  \
-     \"block_dispatches\": %d,\n  \"block_interp_instrs\": %d\n}\n"
-    budget ips_walker ips_tlb speedup hits misses hit_rate flushes ips_blocks
-    speedup_blocks bhit bstats.Mir_rv.Block.compiled
-    bstats.Mir_rv.Block.invalidated bstats.Mir_rv.Block.dispatches
-    bstats.Mir_rv.Block.interp_instrs;
-  close_out oc;
-  print_endline "  wrote BENCH_ips.json"
-
-(* ------------------------------------------------------------------ *)
-(* Schedule-exploration throughput (BENCH_explore.json)                *)
-(* ------------------------------------------------------------------ *)
-
-let explore_bench () =
-  print_endline "\nSchedule-exploration throughput";
-  print_endline "===============================";
-  let module Explore = Mir_explore.Explore in
-  let module Scenario = Mir_explore.Scenario in
-  let seed = Miralis.Config.default_seed in
-  let budget = 40 in
-  let schedules = ref 0 in
-  let steps = ref 0 in
-  let traps = ref 0 in
-  let counts = ref [] in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun scn ->
-      List.iter
-        (fun family ->
-          let c =
-            Explore.run_family scn ~family ~seed ~max_schedules:budget
-              ~nharts:2 ()
-          in
-          schedules := !schedules + c.Explore.schedules_run;
-          steps := !steps + c.Explore.steps_total;
-          traps := !traps + c.Explore.trap_points_total;
-          counts := c.Explore.switch_counts @ !counts)
-        [ Explore.Random; Explore.Pct ])
-    Scenario.all;
-  let dt = Unix.gettimeofday () -. t0 in
-  let sched_rate = float_of_int !schedules /. dt in
-  let step_rate = float_of_int !steps /. dt in
-  (* histogram of preemption points per schedule, bucket width 64 *)
-  let bucket_w = 64 in
-  let hist = Hashtbl.create 8 in
-  List.iter
-    (fun n ->
-      let b = (max 0 (n - 1)) / bucket_w * bucket_w in
-      Hashtbl.replace hist b (1 + Option.value (Hashtbl.find_opt hist b) ~default:0))
-    !counts;
-  let buckets =
-    Hashtbl.fold (fun b n acc -> (b, n) :: acc) hist []
-    |> List.sort compare
-  in
-  Printf.printf "  %d schedules, %d steps in %.2fs: %.0f schedules/sec, %.0f steps/sec\n"
-    !schedules !steps dt sched_rate step_rate;
-  Printf.printf "  trap-adjacent preemptions: %d\n" !traps;
-  List.iter
-    (fun (b, n) ->
-      Printf.printf "  preemption points %4d-%4d: %d schedules\n" b
-        (b + bucket_w - 1) n)
-    buckets;
-  let oc = open_out "BENCH_explore.json" in
-  Printf.fprintf oc
-    "{\n  \"schedules\": %d,\n  \"steps\": %d,\n  \"seconds\": %.3f,\n  \
-     \"schedules_per_sec\": %.0f,\n  \"steps_per_sec\": %.0f,\n  \
-     \"trap_adjacent_preemptions\": %d,\n  \"preemption_hist\": [%s]\n}\n"
-    !schedules !steps dt sched_rate step_rate !traps
-    (String.concat ", "
-       (List.map (fun (b, n) -> Printf.sprintf "[%d, %d]" b n) buckets));
-  close_out oc;
-  print_endline "  wrote BENCH_explore.json"
+        ("ips_off", float 0 ips_off);
+        ("ips_recording", float 0 ips_on);
+        ("ips_replay", float 0 ips_replay);
+        ("recording_overhead", float 3 overhead);
+        ("events", int nevents);
+        ("checkpoints", int ncheckpoints);
+        ("diverged", bool diverged);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* ACE steal/return world-switch cost (BENCH_ace.json)                 *)
@@ -284,27 +104,8 @@ let ace_bench () =
   let p = { p0 with Platform.machine = mc } in
   let region_base = 0x8088_0000L and region_size = 4096L in
   let n = 40 in
-  let build ~policy ~pmp_slots =
-    let m = Machine.create mc in
-    Machine.load_program m Mir_firmware.Layout.fw_base
-      (fst
-         (Mir_firmware.Minisbi.image ~nharts:1
-            ~kernel_entry:Mir_kernel.Interp_kernel.entry));
-    Machine.load_program m Mir_kernel.Interp_kernel.entry
-      (fst (Mir_kernel.Interp_kernel.image ()));
-    let config =
-      Miralis.Config.make ~policy_pmp_slots:pmp_slots
-        ~cost:p.Platform.cost ~machine:mc ()
-    in
-    let mir = Miralis.Monitor.create ~policy config m in
-    Miralis.Monitor.boot mir ~fw_entry:Mir_firmware.Layout.fw_base;
-    ( {
-        Setup.platform = p;
-        mode = Setup.Virtualized;
-        machine = m;
-        miralis = Some mir;
-      },
-      mir )
+  let build (policy, _) ~pmp_slots =
+    Setup.create ~policy ~policy_pmp_slots:pmp_slots p Setup.Virtualized
   in
   (* one warm-up round, then the steady state between two stamps *)
   let measure sys round =
@@ -325,22 +126,19 @@ let ace_bench () =
       ~size:region_size ~entry:region_base;
     sys
   in
-  let sandbox_sys, _ =
-    let policy, _ = Sandbox.create () in
-    build ~policy ~pmp_slots:Sandbox.pmp_slots
+  let sandbox =
+    measure
+      (build (Sandbox.create ()) ~pmp_slots:Sandbox.pmp_slots)
+      (Script.Putchar '\000')
   in
-  let sandbox = measure sandbox_sys (Script.Putchar '\000') in
-  let keystone_sys, _ =
-    let policy, _ = Keystone.create () in
-    build ~policy ~pmp_slots:Keystone.pmp_slots
+  let keystone =
+    measure
+      (with_enclave (build (Keystone.create ()) ~pmp_slots:Keystone.pmp_slots))
+      (Script.Enclave_round 0L)
   in
-  let keystone = measure (with_enclave keystone_sys) (Script.Enclave_round 0L) in
-  let ace_sys, ace_mir =
-    let policy, _ = Ace.create () in
-    build ~policy ~pmp_slots:Ace.pmp_slots
-  in
+  let ace_sys = build (Ace.create ()) ~pmp_slots:Ace.pmp_slots in
   let ace = measure (with_enclave ace_sys) (Script.Cvm_round 0L) in
-  let stats = ace_mir.Miralis.Monitor.stats in
+  let stats = (Option.get ace_sys.Setup.miralis).Miralis.Monitor.stats in
   let steals = stats.Miralis.Vfm_stats.ace_steals
   and returns = stats.Miralis.Vfm_stats.ace_returns in
   let cost = p.Platform.cost in
@@ -353,18 +151,20 @@ let ace_bench () =
      %d returns\n"
     cost.Miralis.Cost.ace_steal cost.Miralis.Cost.ace_return
     cost.Miralis.Cost.tlb_flush steals returns;
-  let oc = open_out "BENCH_ace.json" in
-  Printf.fprintf oc
-    "{\n  \"platform\": \"%s\",\n  \"rounds\": %d,\n  \
-     \"sandbox_sbi_call_cycles\": %.1f,\n  \
-     \"keystone_round_cycles\": %.1f,\n  \"ace_round_cycles\": %.1f,\n  \
-     \"steal_cycles\": %d,\n  \"return_cycles\": %d,\n  \
-     \"tlb_flush_cycles\": %d,\n  \"ace_steals\": %d,\n  \
-     \"ace_returns\": %d\n}\n"
-    p.Platform.name n sandbox keystone ace cost.Miralis.Cost.ace_steal
-    cost.Miralis.Cost.ace_return cost.Miralis.Cost.tlb_flush steals returns;
-  close_out oc;
-  print_endline "  wrote BENCH_ace.json"
+  Report.(
+    write "ace"
+      [
+        ("platform", str p.Platform.name);
+        ("rounds", int n);
+        ("sandbox_sbi_call_cycles", float 1 sandbox);
+        ("keystone_round_cycles", float 1 keystone);
+        ("ace_round_cycles", float 1 ace);
+        ("steal_cycles", int cost.Miralis.Cost.ace_steal);
+        ("return_cycles", int cost.Miralis.Cost.ace_return);
+        ("tlb_flush_cycles", int cost.Miralis.Cost.tlb_flush);
+        ("ace_steals", int steals);
+        ("ace_returns", int returns);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic prover throughput (BENCH_sym.json)                         *)
@@ -373,58 +173,48 @@ let ace_bench () =
 let sym_bench () =
   print_endline "\nSymbolic faithful-emulation prover";
   print_endline "==================================";
-  let reports = Mir_verif.Prove.all () in
-  let paths = List.fold_left (fun a r -> a + r.Mir_verif.Prove.paths) 0 reports
-  and instances =
-    List.fold_left (fun a r -> a + r.Mir_verif.Prove.instances) 0 reports
-  and seconds =
-    List.fold_left (fun a r -> a +. r.Mir_verif.Prove.seconds) 0. reports
-  in
+  let module P = Mir_verif.Prove in
+  let reports = P.all () in
+  let paths = List.fold_left (fun a r -> a + r.P.paths) 0 reports
+  and instances = List.fold_left (fun a r -> a + r.P.instances) 0 reports
+  and seconds = List.fold_left (fun a r -> a +. r.P.seconds) 0. reports in
   let hist_len =
-    List.fold_left
-      (fun a r -> max a (Array.length r.Mir_verif.Prove.depth_hist))
-      0 reports
+    List.fold_left (fun a r -> max a (Array.length r.P.depth_hist)) 0 reports
   in
   let hist = Array.make hist_len 0 in
   List.iter
-    (fun r ->
-      Array.iteri
-        (fun d n -> hist.(d) <- hist.(d) + n)
-        r.Mir_verif.Prove.depth_hist)
+    (fun r -> Array.iteri (fun d n -> hist.(d) <- hist.(d) + n) r.P.depth_hist)
     reports;
   let max_depth = ref 0 in
   Array.iteri (fun d n -> if n > 0 then max_depth := d) hist;
   let paths_per_sec = float_of_int paths /. seconds in
-  List.iter
-    (fun r -> Format.printf "  %a@." Mir_verif.Prove.pp_report r)
-    reports;
+  List.iter (fun r -> Format.printf "  %a@." P.pp_report r) reports;
   Printf.printf "  %d paths in %.2fs: %.0f paths/sec (max split depth %d)\n"
     paths seconds paths_per_sec !max_depth;
-  let task_json =
-    String.concat ",\n    "
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"name\": %S, \"instances\": %d, \"paths\": %d, \
-              \"unexplored\": %d, \"proved\": %b, \"seconds\": %.3f}"
-             r.Mir_verif.Prove.name r.Mir_verif.Prove.instances
-             r.Mir_verif.Prove.paths r.Mir_verif.Prove.unexplored
-             (Mir_verif.Prove.proved r) r.Mir_verif.Prove.seconds)
-         reports)
+  let task r =
+    Report.(
+      obj
+        [
+          ("name", str r.P.name);
+          ("instances", int r.P.instances);
+          ("paths", int r.P.paths);
+          ("unexplored", int r.P.unexplored);
+          ("proved", bool (P.proved r));
+          ("seconds", float 3 r.P.seconds);
+        ])
   in
-  let hist_json =
-    String.concat ", "
-      (Array.to_list (Array.mapi (fun _ n -> string_of_int n)
-                        (Array.sub hist 0 (!max_depth + 1))))
-  in
-  let oc = open_out "BENCH_sym.json" in
-  Printf.fprintf oc
-    "{\n  \"instances\": %d,\n  \"paths\": %d,\n  \"seconds\": %.3f,\n  \
-     \"paths_per_sec\": %.0f,\n  \"split_depth_hist\": [%s],\n  \
-     \"tasks\": [\n    %s\n  ]\n}\n"
-    instances paths seconds paths_per_sec hist_json task_json;
-  close_out oc;
-  print_endline "  wrote BENCH_sym.json"
+  Report.(
+    write "sym"
+      [
+        ("instances", int instances);
+        ("paths", int paths);
+        ("seconds", float 3 seconds);
+        ("paths_per_sec", float 0 paths_per_sec);
+        ( "split_depth_hist",
+          list (List.map int (Array.to_list (Array.sub hist 0 (!max_depth + 1))))
+        );
+        ("tasks", list (List.map task reports));
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel machine fleet (BENCH_fleet.json)                    *)
@@ -508,32 +298,39 @@ let fleet_bench () =
   Printf.printf "  deterministic across domain counts: %b\n" deterministic;
   if not base.Fleet.all_completed then
     print_endline "  WARNING: some machines hit the instruction budget";
-  let oc = open_out "BENCH_fleet.json" in
-  Printf.fprintf oc
-    "{\n  \"machines\": %d,\n  \"workload\": %S,\n  \"seed\": \"0x%Lx\",\n  \
-     \"duration_ms\": %.3f,\n  \"requests\": %d,\n  \"traps\": %d,\n  \
-     \"world_switches\": %d,\n  \"offload_hits\": %d,\n  \
-     \"instrs\": %Ld,\n  \"all_completed\": %b,\n  \
-     \"sim_trap_rate\": %.0f,\n  \"p50_cycles\": %.0f,\n  \
-     \"p99_cycles\": %.0f,\n  \"p999_cycles\": %.0f,\n  \
-     \"fleet_digest\": \"%016Lx\",\n  \"deterministic\": %b,\n  \
-     \"best_speedup\": %.3f,\n  \"scaling\": [\n%s\n  ]\n}\n"
-    machines spec.Fleet.workload spec.Fleet.seed duration_ms
-    base.Fleet.requests base.Fleet.traps base.Fleet.world_switches
-    base.Fleet.offload_hits base.Fleet.instrs base.Fleet.all_completed
-    base.Fleet.sim_trap_rate base.Fleet.p50_cycles base.Fleet.p99_cycles
-    base.Fleet.p999_cycles base.Fleet.fleet_digest deterministic
-    best_speedup
-    (String.concat ",\n"
-       (List.map
-          (fun (d, wall, tps, speedup) ->
-            Printf.sprintf
-              "    {\"domains\": %d, \"wall_seconds\": %.3f, \
-               \"traps_per_sec\": %.0f, \"speedup\": %.3f}"
-              d wall tps speedup)
-          scaling));
-  close_out oc;
-  print_endline "  wrote BENCH_fleet.json"
+  Report.(
+    write "fleet"
+      [
+        ("machines", int machines);
+        ("workload", str spec.Fleet.workload);
+        ("seed", str (Printf.sprintf "0x%Lx" spec.Fleet.seed));
+        ("duration_ms", float 3 duration_ms);
+        ("requests", int base.Fleet.requests);
+        ("traps", int base.Fleet.traps);
+        ("world_switches", int base.Fleet.world_switches);
+        ("offload_hits", int base.Fleet.offload_hits);
+        ("instrs", Int64.to_string base.Fleet.instrs);
+        ("all_completed", bool base.Fleet.all_completed);
+        ("sim_trap_rate", float 0 base.Fleet.sim_trap_rate);
+        ("p50_cycles", float 0 base.Fleet.p50_cycles);
+        ("p99_cycles", float 0 base.Fleet.p99_cycles);
+        ("p999_cycles", float 0 base.Fleet.p999_cycles);
+        ("fleet_digest", str (Printf.sprintf "%016Lx" base.Fleet.fleet_digest));
+        ("deterministic", bool deterministic);
+        ("best_speedup", float 3 best_speedup);
+        ( "scaling",
+          list
+            (List.map
+               (fun (d, wall, tps, speedup) ->
+                 obj
+                   [
+                     ("domains", int d);
+                     ("wall_seconds", float 3 wall);
+                     ("traps_per_sec", float 0 tps);
+                     ("speedup", float 3 speedup);
+                   ])
+               scaling) );
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Static analyzer cost (BENCH_lint.json)                               *)
@@ -547,14 +344,7 @@ let lint_bench () =
   print_endline "=========================================";
   let module Lint = Mir_analysis.Lint in
   let module Rules = Mir_analysis.Rules in
-  let rec find_root dir depth =
-    if depth > 8 then None
-    else if Sys.file_exists (Filename.concat dir "lib/rv") then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else find_root parent (depth + 1)
-  in
-  match find_root (Sys.getcwd ()) 0 with
+  match Mir_harness.Loc.project_root () with
   | None -> print_endline "  repository sources not found; skipped"
   | Some root ->
       (* one warm-up pass faults the sources into the page cache *)
@@ -572,15 +362,16 @@ let lint_bench () =
         warm.Lint.files nrules passes dt files_per_sec;
       Printf.printf "  diagnostics on the tree: %d\n"
         (List.length warm.Lint.diagnostics);
-      let oc = open_out "BENCH_lint.json" in
-      Printf.fprintf oc
-        "{\n  \"files\": %d,\n  \"rules\": %d,\n  \"passes\": %d,\n  \
-         \"seconds\": %.3f,\n  \"files_per_sec\": %.0f,\n  \
-         \"diagnostics\": %d\n}\n"
-        warm.Lint.files nrules passes dt files_per_sec
-        (List.length warm.Lint.diagnostics);
-      close_out oc;
-      print_endline "  wrote BENCH_lint.json"
+      Report.(
+        write "lint"
+          [
+            ("files", int warm.Lint.files);
+            ("rules", int nrules);
+            ("passes", int passes);
+            ("seconds", float 3 dt);
+            ("files_per_sec", float 0 files_per_sec);
+            ("diagnostics", int (List.length warm.Lint.diagnostics));
+          ])
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the simulator's primitives              *)
@@ -660,39 +451,22 @@ let micro () =
       | _ -> ())
     times
 
+let benches =
+  Mir_experiments.Exp_index.all
+  @ [
+      ("trace", trace_bench); ("sym", sym_bench); ("ace", ace_bench);
+      ("fleet", fleet_bench); ("lint", lint_bench); ("micro", micro);
+    ]
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let t0 = Unix.gettimeofday () in
-  (match args with
-  | [] ->
-      List.iter (fun (_, f) -> f ()) experiments;
-      trace_bench ();
-      sym_bench ();
-      ips_bench ();
-      explore_bench ();
-      ace_bench ();
-      fleet_bench ();
-      lint_bench ();
-      micro ()
-  | names ->
-      List.iter
-        (fun name ->
-          if name = "micro" then micro ()
-          else if name = "trace" then trace_bench ()
-          else if name = "sym" then sym_bench ()
-          else if name = "ips" then ips_bench ()
-          else if name = "explore" then explore_bench ()
-          else if name = "ace" then ace_bench ()
-          else if name = "fleet" then fleet_bench ()
-          else if name = "lint" then lint_bench ()
-          else
-            match List.assoc_opt name experiments with
-            | Some f -> f ()
-            | None ->
-                Printf.eprintf
-                  "unknown experiment %S; known: %s trace sym ips explore \
-                   ace fleet lint micro\n"
-                  name
-                  (String.concat " " (List.map fst experiments)))
-        names);
-  Printf.printf "\n[bench completed in %.1fs]\n" (Unix.gettimeofday () -. t0)
+  match
+    Mir_experiments.Exp_index.select benches (List.tl (Array.to_list Sys.argv))
+  with
+  | Error e ->
+      prerr_endline e;
+      exit 2
+  | Ok runs ->
+      let t0 = Unix.gettimeofday () in
+      List.iter (fun f -> f ()) runs;
+      Printf.printf "\n[bench completed in %.1fs]\n"
+        (Unix.gettimeofday () -. t0)

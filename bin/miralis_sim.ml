@@ -16,6 +16,14 @@ module Machine = Mir_rv.Machine
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A one-line usage error, exit 2. *)
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("miralis-sim: " ^ msg);
+      exit 2)
+    fmt
+
 let platform_arg =
   let parse s =
     match Platform.by_name s with
@@ -78,7 +86,9 @@ let policy_arg =
     value
     & opt (enum [ ("none", `None); ("sandbox", `Sandbox) ]) `None
     & info [ "policy" ] ~docv:"POLICY"
-        ~doc:"Isolation policy: $(b,none) or $(b,sandbox).")
+        ~doc:
+          "Isolation policy: $(b,none) or $(b,sandbox). A policy runs in \
+           Miralis, so it needs mode $(b,miralis) or $(b,no-offload).")
 
 let max_instrs_arg =
   Arg.(
@@ -128,33 +138,18 @@ let smoke_script =
 
 let run_cmd platform mode fw policy max_instrs trace record_file replay_file
     checkpoint_every no_block_engine =
-  let policy, pmp_slots =
+  let policy, policy_pmp_slots =
     match policy with
-    | `None -> (None, 1)
+    | `None -> (None, None)
     | `Sandbox ->
         let p, _ = Mir_policies.Policy_sandbox.create () in
-        (Some p, Mir_policies.Policy_sandbox.pmp_slots)
+        (Some p, Some Mir_policies.Policy_sandbox.pmp_slots)
   in
   let sys =
-    match policy with
-    | None -> Setup.create ~firmware:(firmware_image fw) platform mode
-    | Some p ->
-        (* the sandbox needs extra policy PMP slots *)
-        let m = Machine.create platform.Platform.machine in
-        let fw_img, _ =
-          (firmware_image fw) ~nharts:platform.Platform.nharts
-            ~kernel_entry:Mir_kernel.Interp_kernel.entry
-        in
-        Machine.load_program m Mir_firmware.Layout.fw_base fw_img;
-        Machine.load_program m Mir_kernel.Interp_kernel.entry
-          (fst (Mir_kernel.Interp_kernel.image ()));
-        let config =
-          Miralis.Config.make ~policy_pmp_slots:pmp_slots
-            ~cost:platform.Platform.cost ~machine:platform.Platform.machine ()
-        in
-        let mir = Miralis.Monitor.create ~policy:p config m in
-        Miralis.Monitor.boot mir ~fw_entry:Mir_firmware.Layout.fw_base;
-        { Setup.platform; mode; machine = m; miralis = Some mir }
+    try
+      Setup.create ?policy ?policy_pmp_slots ~firmware:(firmware_image fw)
+        platform mode
+    with Invalid_argument msg -> usage "%s" msg
   in
   if no_block_engine then Machine.set_block_engine sys.Setup.machine false;
   if trace then
@@ -166,19 +161,15 @@ let run_cmd platform mode fw policy max_instrs trace record_file replay_file
             (Mir_rv.Cause.to_string cause)
             (Mir_rv.Priv.to_string from_priv)
             (if to_m then "M" else "S"));
-  if record_file <> None && replay_file <> None then begin
-    prerr_endline "miralis-sim: --record and --replay are mutually exclusive";
-    exit 2
-  end;
+  if record_file <> None && replay_file <> None then
+    usage "--record and --replay are mutually exclusive";
   let recording =
     match record_file with
     | None -> None
     | Some path ->
         (* fail on an unwritable destination now, not after the run *)
         (try close_out (open_out path)
-         with Sys_error msg ->
-           Printf.eprintf "miralis-sim: cannot write trace: %s\n" msg;
-           exit 2);
+         with Sys_error msg -> usage "cannot write trace: %s" msg);
         let recorder, _tracer = Setup.attach_recorder sys in
         let mgr =
           if checkpoint_every > 0L then
@@ -194,9 +185,7 @@ let run_cmd platform mode fw policy max_instrs trace record_file replay_file
     | None -> None
     | Some path -> begin
         match Mir_trace.Recorder.load ~path with
-        | Error msg ->
-            Printf.eprintf "miralis-sim: cannot load trace %s: %s\n" path msg;
-            exit 2
+        | Error msg -> usage "cannot load trace %s: %s" path msg
         | Ok events ->
             let replay, _tracer = Setup.attach_replay sys ~events in
             Some replay
@@ -259,14 +248,6 @@ let run_term =
 (* ------------------------------------------------------------------ *)
 (* verify                                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* A one-line usage error, exit 2. *)
-let usage fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("miralis-sim: " ^ msg);
-      exit 2)
-    fmt
 
 let parse_bug = function
   | "" -> None
@@ -466,17 +447,15 @@ module Explore = Mir_explore.Explore
 module Scenario = Mir_explore.Scenario
 module Schedule = Mir_trace.Schedule
 
-let explore_scenarios scenario =
-  match scenario with
-  | "" -> Ok Scenario.all
+let explore_scenarios = function
+  | "" -> Scenario.all
   | name -> (
       match Scenario.find name with
-      | Some s -> Ok [ s ]
+      | Some s -> [ s ]
       | None ->
-          Error
-            (Printf.sprintf "unknown scenario %S (known: %s)" name
-               (String.concat ", "
-                  (List.map (fun s -> s.Scenario.name) Scenario.all))))
+          usage "unknown scenario %S (known: %s)" name
+            (String.concat ", "
+               (List.map (fun s -> s.Scenario.name) Scenario.all)))
 
 (* Smoke mode: no bug injected; every oracle must stay clean under
    every scheduler family. *)
@@ -560,41 +539,40 @@ let explore_inject bug ~seed ~max_schedules ~nharts ~emit =
       | None -> ());
       if rr.Explore.caught <> None then exit 1
 
+(* Every file loads before any replays: a missing path, an empty
+   directory or a malformed schedule exits 2; a schedule that does not
+   reproduce its verdict exits 1. *)
 let explore_replay path =
-  let paths =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
-      |> List.sort compare
-      |> List.map (Filename.concat path)
-    else [ path ]
+  let schedules =
+    match Mir_trace.Event.jsonl_files path with
+    | Error e -> usage "%s" e
+    | Ok files ->
+        List.map
+          (fun p ->
+            match Schedule.load ~path:p with
+            | Ok sch -> (p, sch)
+            | Error e -> usage "%s" e)
+          files
   in
   let failed = ref false in
   List.iter
-    (fun p ->
-      match Schedule.load ~path:p with
-      | Error e ->
-          Printf.printf "%s: LOAD ERROR %s\n" p e;
-          failed := true
-      | Ok sch -> (
-          match Explore.replay sch with
-          | Error e ->
-              Printf.printf "%s: %s\n" p e;
-              failed := true
-          | Ok o ->
-              if Explore.reproduces sch o then
-                Printf.printf "%s: reproduced %s (%d preemption points)\n" p
-                  sch.Schedule.oracle
-                  (Schedule.preemption_points sch)
-              else begin
-                Printf.printf "%s: DIVERGED (expected oracle %S, got %s)\n" p
-                  sch.Schedule.oracle
-                  (match o.Explore.violation with
-                  | Some v -> v.Mir_explore.Oracle.oracle
-                  | None -> "no violation");
-                failed := true
-              end))
-    paths;
+    (fun (p, sch) ->
+      match Explore.replay sch with
+      | Error e -> usage "%s: %s" p e
+      | Ok o ->
+          if Explore.reproduces sch o then
+            Printf.printf "%s: reproduced %s (%d preemption points)\n" p
+              sch.Schedule.oracle
+              (Schedule.preemption_points sch)
+          else begin
+            Printf.printf "%s: DIVERGED (expected oracle %S, got %s)\n" p
+              sch.Schedule.oracle
+              (match o.Explore.violation with
+              | Some v -> v.Mir_explore.Oracle.oracle
+              | None -> "no violation");
+            failed := true
+          end)
+    schedules;
   if !failed then exit 1
 
 let explore_cmd scenario seed max_schedules harts bug replay emit =
@@ -602,23 +580,19 @@ let explore_cmd scenario seed max_schedules harts bug replay emit =
   | Some path -> explore_replay path
   | None -> (
       match bug with
-      | "" -> (
-          match explore_scenarios scenario with
-          | Error e ->
-              Printf.eprintf "%s\n" e;
-              exit 2
-          | Ok scenarios ->
-              explore_smoke scenarios ~seed ~max_schedules ~nharts:harts)
+      | "" ->
+          explore_smoke
+            (explore_scenarios scenario)
+            ~seed ~max_schedules ~nharts:harts
       | name -> (
           match Explore.bug_of_name name with
           | Ok (Some bug) ->
               explore_inject bug ~seed ~max_schedules ~nharts:harts ~emit
           | Ok None | Error _ ->
-              Printf.eprintf
+              usage
                 "unknown race bug %S (known: vm-epoch, msip-drop, \
-                 pmp-handoff, ace-stale-ownership)\n"
-                name;
-              exit 2))
+                 pmp-handoff, ace-stale-ownership)"
+                name))
 
 let explore_term =
   Term.(
@@ -667,20 +641,11 @@ let explore_term =
 module Fleet = Mir_fleet.Fleet
 
 let fleet_cmd machines domains workload seed duration_ms quiet =
-  (match Mir_fleet.Load.find workload with
-  | Some _ -> ()
-  | None ->
-      Printf.eprintf "unknown workload %S (known: %s)\n" workload
-        (String.concat ", " Mir_fleet.Load.known_names);
-      exit 2);
-  if machines < 1 then begin
-    prerr_endline "miralis-sim: --machines must be >= 1";
-    exit 2
-  end;
-  if domains < 1 then begin
-    prerr_endline "miralis-sim: --domains must be >= 1";
-    exit 2
-  end;
+  if Option.is_none (Mir_fleet.Load.find workload) then
+    usage "unknown workload %S (known: %s)" workload
+      (String.concat ", " Mir_fleet.Load.known_names);
+  if machines < 1 then usage "--machines must be >= 1";
+  if domains < 1 then usage "--domains must be >= 1";
   let spec =
     { Fleet.default_spec with Fleet.machines; domains; workload; seed;
       duration_ms }
@@ -824,34 +789,9 @@ let lint_term =
 (* ------------------------------------------------------------------ *)
 
 let experiments_cmd names =
-  let all =
-    [
-      ("table1", fun () -> Mir_experiments.Exp_tables.table1 ());
-      ("table2", fun () -> Mir_experiments.Exp_tables.table2 ());
-      ("table3", fun () -> Mir_experiments.Exp_tables.table3 ());
-      ("table4", fun () -> Mir_experiments.Exp_tables.table4 ());
-      ("table5", fun () -> Mir_experiments.Exp_tables.table5 ());
-      ("fig3", fun () -> Mir_experiments.Exp_figs.fig3 ());
-      ("fig10", fun () -> Mir_experiments.Exp_figs.fig10 ());
-      ("fig11", fun () -> Mir_experiments.Exp_figs.fig11 ());
-      ("fig12", fun () -> Mir_experiments.Exp_figs.fig12 ());
-      ("fig13", fun () -> Mir_experiments.Exp_figs.fig13 ());
-      ("fig14", fun () -> Mir_experiments.Exp_figs.fig14 ());
-      ("boottime", fun () -> Mir_experiments.Exp_figs.boot_time ());
-      ("sstc", fun () -> Mir_experiments.Exp_figs.sstc_projection ());
-      ("q1", fun () -> Mir_experiments.Exp_figs.q1 ());
-      ("q4", fun () -> Mir_experiments.Exp_figs.q4 ());
-    ]
-  in
-  match names with
-  | [] -> List.iter (fun (_, f) -> f ()) all
-  | names ->
-      List.iter
-        (fun n ->
-          match List.assoc_opt n all with
-          | Some f -> f ()
-          | None -> Printf.eprintf "unknown experiment %S\n" n)
-        names
+  match Mir_experiments.Exp_index.(select all names) with
+  | Ok runs -> List.iter (fun f -> f ()) runs
+  | Error e -> usage "%s" e
 
 let experiments_term =
   Term.(

@@ -126,8 +126,6 @@ type campaign = {
   family : family;
   schedules_run : int;
   steps_total : int;
-  trap_points_total : int;
-  switch_counts : int list;  (** per-schedule switch counts *)
   caught : (Oracle.violation * Schedule.t) option;
       (** first violation, with its (unshrunk) schedule *)
 }
@@ -141,14 +139,10 @@ let run_family (scn : Scenario.t) ?bug ~family ~seed ~max_schedules ~nharts ()
     =
   let schedules_run = ref 0 in
   let steps_total = ref 0 in
-  let traps = ref 0 in
-  let counts = ref [] in
   let caught = ref None in
   let record o =
     incr schedules_run;
     steps_total := !steps_total + o.steps;
-    traps := !traps + o.trap_points;
-    counts := List.length o.switches :: !counts;
     match o.violation with
     | Some v when !caught = None ->
         caught :=
@@ -200,8 +194,6 @@ let run_family (scn : Scenario.t) ?bug ~family ~seed ~max_schedules ~nharts ()
     family;
     schedules_run = !schedules_run;
     steps_total = !steps_total;
-    trap_points_total = !traps;
-    switch_counts = !counts;
     caught = !caught;
   }
 

@@ -37,8 +37,6 @@ type campaign = {
   family : family;
   schedules_run : int;
   steps_total : int;
-  trap_points_total : int;
-  switch_counts : int list;  (** per-schedule switch counts *)
   caught : (Oracle.violation * Mir_trace.Schedule.t) option;
       (** first violation, with its (unshrunk) schedule *)
 }

@@ -144,10 +144,6 @@ let ensure_dir dir =
 let write_file path text =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
 
-let read_file path =
-  try Ok (In_channel.with_open_bin path In_channel.input_all)
-  with Sys_error msg -> Error msg
-
 (* FNV-1a over a vector's JSONL text: equal cases get equal file names,
    so same-seed campaigns write identical corpus directories. *)
 let text_hash s =
@@ -158,22 +154,6 @@ let text_hash s =
         Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
     s;
   !h
-
-(* A vector's header line (number, first key, fields) and its
-   non-blank body lines, numbered from 1. *)
-let split ~file text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.mapi (fun i l -> (i + 1, l))
-    |> List.filter (fun (_, l) -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error (Printf.sprintf "%s:1: empty vector file" file)
-  | (n, header) :: body -> (
-      match Event.parse_fields header with
-      | Ok ((key, _) :: _ as fields) -> Ok (n, key, fields, body)
-      | Ok [] -> Error (Printf.sprintf "%s:%d: header has no key" file n)
-      | Error e -> Error (Printf.sprintf "%s:%d: %s" file n e))
 
 (* ------------------------------------------------------------------ *)
 (* The shared mechanics                                                *)
@@ -202,7 +182,7 @@ module Make (F : FAMILY) : S with type case = F.case = struct
 
   let decode ~file text =
     let at n msg = Error (Printf.sprintf "%s:%d: %s" file n msg) in
-    match split ~file text with
+    match Event.split ~file text with
     | Error e -> Error e
     | Ok (n, key, _, _) when key <> F.header ->
         at n (Printf.sprintf "not a %S vector header" F.header)
@@ -331,19 +311,6 @@ end
 
 type family = (module S)
 
-let vector_files path =
-  if not (Sys.file_exists path) then
-    Error (path ^ ": no such file or directory")
-  else if not (Sys.is_directory path) then Ok [ path ]
-  else
-    match
-      Sys.readdir path |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
-      |> List.sort String.compare
-    with
-    | [] -> Error (path ^ ": no *.jsonl vectors")
-    | files -> Ok (List.map (Filename.concat path) files)
-
 (* Replay a vector file, or every [*.jsonl] file of a directory in
    name order. Each file goes to the family whose [header] is the first
    key of its header line; one verdict per family that claimed a file.
@@ -351,7 +318,7 @@ let vector_files path =
    or malformed file, unknown header, refused [inject_bug]); nothing is
    replayed when a file is malformed. Never raises. *)
 let replay_path families ?inject_bug ~seed path =
-  match vector_files path with
+  match Event.jsonl_files path with
   | Error e -> Error [ e ]
   | Ok files -> (
       let errors = ref [] in
@@ -363,10 +330,10 @@ let replay_path families ?inject_bug ~seed path =
       let claimed =
         List.filter_map
           (fun file ->
-            match read_file file with
+            match Event.read_file file with
             | Error e -> fail e
             | Ok text -> (
-                match split ~file text with
+                match Event.split ~file text with
                 | Error e -> fail e
                 | Ok (_, key, _, _) when List.mem key headers ->
                     Some (key, file, text)

@@ -16,8 +16,11 @@ type system = {
   miralis : Miralis.Monitor.t option;
 }
 
-let create ?policy ?inject_bug ?(firmware = Mir_firmware.Minisbi.image)
+let create ?policy ?policy_pmp_slots ?inject_bug
+    ?(firmware = Mir_firmware.Minisbi.image)
     (platform : Mir_platform.Platform.t) mode =
+  if Option.is_some policy && mode = Native then
+    invalid_arg "Setup.create: a policy needs Miralis; Native runs without it";
   let m = Machine.create platform.Mir_platform.Platform.machine in
   (* storage and network are part of every system build: ~13 us per
      512-byte sector at the default clocking, matching low-end eMMC *)
@@ -42,6 +45,7 @@ let create ?policy ?inject_bug ?(firmware = Mir_firmware.Minisbi.image)
       let config =
         Miralis.Config.make
           ~offload:(mode = Virtualized)
+          ?policy_pmp_slots
           ~allowed_custom_csrs:platform.Mir_platform.Platform.custom_csrs
           ~cost:platform.Mir_platform.Platform.cost ?inject_bug
           ~machine:platform.Mir_platform.Platform.machine ()

@@ -19,13 +19,17 @@ type system = {
 
 val create :
   ?policy:Miralis.Policy.t ->
+  ?policy_pmp_slots:int ->
   ?inject_bug:Miralis.Config.bug ->
   ?firmware:(nharts:int -> kernel_entry:int64 -> bytes * (string * int64) list) ->
   Mir_platform.Platform.t ->
   mode ->
   system
 (** Build the machine, load MiniSBI (or the given firmware image
-    builder) and the interpreter kernel, and boot. *)
+    builder) and the interpreter kernel, and boot. [policy_pmp_slots]
+    is the physical PMP entries the policy reserves
+    ({!Miralis.Config.make}). Raises [Invalid_argument] for a [policy]
+    in [Native] mode, which has no monitor to run it. *)
 
 val run_scripts :
   ?max_instrs:int64 -> system -> Mir_kernel.Script.op list list -> unit

@@ -14,14 +14,8 @@ type config = {
   tlb_entries : int;
       (* per-hart software-TLB slots (rounded up to a power of two);
          0 disables the TLB and the fetch-page cache, leaving the raw
-         walker — the configuration the differential fuzzer and the
-         ips benchmark use as oracle/baseline *)
-  block_engine : bool;
-      (* execute [run] through the decoded basic-block cache; [step]
-         always remains the per-instruction interpreter (the oracle),
-         and [run_scheduled] always steps the interpreter so schedule
-         exploration preempts at exact step counts. Requires the
-         fetch-page cache (tlb_entries > 0) to ever hit. *)
+         walker — the configuration the differential fuzzer uses as
+         oracle *)
 }
 
 let default_config =
@@ -36,7 +30,6 @@ let default_config =
     xret_penalty = 100;
     mmio_penalty = 60;
     tlb_entries = 256;
-    block_engine = true;
   }
 
 (* Injectable cross-hart race windows, driven by the schedule explorer
@@ -108,7 +101,7 @@ let create config =
       nic = None;
       icache = Array.make (config.ram_size / 4) None;
       blocks = Block.create ~words:(config.ram_size / 4);
-      block_engine = config.block_engine;
+      block_engine = true;
       mmode_hook = None;
       on_trap = None;
       on_csr_write = None;

@@ -26,14 +26,6 @@ type config = {
   tlb_entries : int;
       (** per-hart software-TLB slots (default 256; 0 disables the TLB
           and the fetch-page cache, leaving the raw walker) *)
-  block_engine : bool;
-      (** execute {!run} through the decoded basic-block cache
-          (default true). {!step} always remains the per-instruction
-          interpreter — the differential oracle — and {!run_scheduled}
-          always steps the interpreter so schedule exploration
-          preempts at exact step counts. The engine requires the
-          fetch-page cache ([tlb_entries > 0]) to ever hit; with it
-          disabled every step falls back to the interpreter. *)
 }
 
 val default_config : config
@@ -69,8 +61,8 @@ type t = {
       (** decoded basic blocks over the icache, physically indexed;
           see DESIGN.md §11 *)
   mutable block_engine : bool;
-      (** whether {!run} dispatches through {!step_blocks}; initial
-          value comes from {!field:config.block_engine} *)
+      (** whether {!run} dispatches through {!step_blocks} (initially
+          true; see {!set_block_engine}) *)
   mutable mmode_hook : (t -> Hart.t -> Cause.t -> unit) option;
   mutable on_trap :
     (t -> Hart.t -> Cause.t -> from_priv:Priv.t -> to_m:bool -> unit) option;
@@ -152,7 +144,12 @@ val block_hit_rate : t -> float
 
 val set_block_engine : t -> bool -> unit
 (** Toggle the engine used by {!run}; flushing is unnecessary because
-    blocks mirror icache contents either way. *)
+    blocks mirror icache contents either way. {!step} always remains
+    the per-instruction interpreter — the differential oracle — and
+    {!run_scheduled} always steps the interpreter so schedule
+    exploration preempts at exact step counts. The engine requires
+    the fetch-page cache ([tlb_entries > 0]) to ever hit; with it
+    disabled every step falls back to the interpreter. *)
 
 val block_engine_enabled : t -> bool
 

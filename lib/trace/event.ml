@@ -209,6 +209,41 @@ let bool_field fields key =
   | "false" -> Ok false
   | _ -> Error (Printf.sprintf "field %S: bad bool %S" key v)
 
+(* ------------------------------------------------------------------ *)
+(* JSONL artifact files (traces, schedules, fuzz vectors)              *)
+(* ------------------------------------------------------------------ *)
+
+let read_file path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error msg -> Error msg
+
+let split ~file text =
+  let lines =
+    String.split_on_char '\n' text
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> String.trim l <> "")
+  in
+  match lines with
+  | [] -> Error (Printf.sprintf "%s:1: empty file" file)
+  | (n, header) :: body -> (
+      match parse_fields header with
+      | Ok ((key, _) :: _ as fields) -> Ok (n, key, fields, body)
+      | Ok [] -> Error (Printf.sprintf "%s:%d: header has no key" file n)
+      | Error e -> Error (Printf.sprintf "%s:%d: %s" file n e))
+
+let jsonl_files path =
+  if not (Sys.file_exists path) then
+    Error (path ^ ": no such file or directory")
+  else if not (Sys.is_directory path) then Ok [ path ]
+  else
+    match
+      Sys.readdir path |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+      |> List.sort String.compare
+    with
+    | [] -> Error (path ^ ": no *.jsonl files")
+    | files -> Ok (List.map (Filename.concat path) files)
+
 let cause_field fields key =
   let* v = i64_field fields key in
   match Cause.of_xcause v with

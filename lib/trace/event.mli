@@ -59,5 +59,25 @@ val i64_field : (string * string) list -> string -> (int64, string) result
 val bool_field : (string * string) list -> string -> (bool, string) result
 (** Typed lookups into {!parse_fields} output; [Error] names the key. *)
 
+(** {2 JSONL artifact files}
+
+    Shared by every line-oriented format: traces, explorer schedules
+    and fuzz vectors. None of these raises. *)
+
+val read_file : string -> (string, string) result
+(** The whole file; [Error] is the system's message, naming the path. *)
+
+val split :
+  file:string ->
+  string ->
+  (int * string * (string * string) list * (int * string) list, string) result
+(** A file's header line — its number, first key and fields — and its
+    non-blank body lines, numbered from 1. [Error] is a
+    ["file:line: reason"] diagnostic. *)
+
+val jsonl_files : string -> (string list, string) result
+(** A file path itself, or every [*.jsonl] file of a directory in name
+    order. [Error] for a missing path or a directory without any. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_kind : Format.formatter -> kind -> unit

@@ -38,12 +38,4 @@ let of_jsonl s =
   in
   go [] 1 (String.split_on_char '\n' s)
 
-let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> of_jsonl s
-  | exception Sys_error msg -> Error msg
+let load ~path = Result.bind (Event.read_file path) of_jsonl

@@ -64,8 +64,7 @@ let field = Event.field
 let int_field = Event.int_field
 let i64_field = Event.i64_field
 
-let parse_meta line =
-  let* fields = Event.parse_fields line in
+let parse_meta fields =
   let* v = int_field fields "v" in
   if v <> 1 then Error (Printf.sprintf "unsupported schedule version %d" v)
   else
@@ -75,45 +74,38 @@ let parse_meta line =
     let* nharts = int_field fields "nharts" in
     let* steps = int_field fields "steps" in
     let* oracle = field fields "oracle" in
-    Ok
-      {
-        scenario;
-        bug = (if bug = "none" then None else Some bug);
-        seed;
-        nharts;
-        steps;
-        oracle;
-        switches = [];
-      }
+    if nharts < 1 then Error (Printf.sprintf "bad nharts %d" nharts)
+    else
+      Ok
+        {
+          scenario;
+          bug = (if bug = "none" then None else Some bug);
+          seed;
+          nharts;
+          steps;
+          oracle;
+          switches = [];
+        }
 
-let parse_switch line =
+let parse_switch ~nharts line =
   let* fields = Event.parse_fields line in
   let* at = int_field fields "at" in
   let* hart = int_field fields "hart" in
-  Ok (at, hart)
+  if hart < 0 || hart >= nharts then
+    Error (Printf.sprintf "hart %d out of range (nharts %d)" hart nharts)
+  else Ok (at, hart)
 
 let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           let l = String.trim (input_line ic) in
-           if l <> "" then lines := l :: !lines
-         done
-       with End_of_file -> ());
-      match List.rev !lines with
-      | [] -> Error (path ^ ": empty schedule file")
-      | meta :: rest ->
-          let* t = parse_meta meta in
-          let* switches =
-            List.fold_left
-              (fun acc line ->
-                let* acc = acc in
-                let* sw = parse_switch line in
-                Ok (sw :: acc))
-              (Ok []) rest
-          in
-          Ok { t with switches = List.rev switches })
+  let at n = Result.map_error (Printf.sprintf "%s:%d: %s" path n) in
+  let* text = Event.read_file path in
+  let* n, _, fields, body = Event.split ~file:path text in
+  let* t = at n (parse_meta fields) in
+  let* switches =
+    List.fold_left
+      (fun acc (i, line) ->
+        let* acc = acc in
+        let* sw = at i (parse_switch ~nharts:t.nharts line) in
+        Ok (sw :: acc))
+      (Ok []) body
+  in
+  Ok { t with switches = List.rev switches }

@@ -23,3 +23,6 @@ val preemption_points : t -> int
 
 val save : t -> path:string -> unit
 val load : path:string -> (t, string) result
+(** Inverse of {!save}. Never raises: [Error] is a ["file:line: reason"]
+    diagnostic, or the system's message naming the file when it cannot
+    be read. *)

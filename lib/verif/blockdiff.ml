@@ -112,9 +112,9 @@ type side = { machine : Machine.t; hart : Hart.t }
 
 let create_side ~block_engine =
   let machine =
-    Machine.create
-      { Machine.default_config with Machine.ram_size; nharts = 1; block_engine }
+    Machine.create { Machine.default_config with Machine.ram_size; nharts = 1 }
   in
+  Machine.set_block_engine machine block_engine;
   { machine; hart = machine.Machine.harts.(0) }
 
 let ram_base s = s.machine.Machine.config.Machine.ram_base

@@ -35,26 +35,18 @@ let vectors_dir () =
    whose header key is the family's), decoded by its codec and replayed
    through the driver. *)
 let replay_family_vectors (module D : Mir_fuzz.Difftest.S) =
-  let dir = vectors_dir () in
+  let module Event = Mir_trace.Event in
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
   let cases =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
-    |> List.sort String.compare
-    |> List.filter_map (fun f ->
-           let file = Filename.concat dir f in
-           let text = In_channel.with_open_bin file In_channel.input_all in
-           match Mir_fuzz.Difftest.split ~file text with
-           | Error e -> Alcotest.fail e
-           | Ok (_, key, _, _) when key <> D.header -> None
-           | Ok _ -> (
-               match D.decode ~file text with
-               | Ok c -> Some (f, c)
-               | Error e -> Alcotest.fail e))
+    ok (Event.jsonl_files (vectors_dir ()))
+    |> List.filter_map (fun file ->
+           let text = ok (Event.read_file file) in
+           match ok (Event.split ~file text) with
+           | _, key, _, _ when key <> D.header -> None
+           | _ -> Some (Filename.basename file, ok (D.decode ~file text)))
   in
-  match D.replay ~seed:Miralis.Config.default_seed cases with
-  | Error e -> Alcotest.fail e
-  | Ok v ->
-      List.iter
-        (fun (name, reason) -> Alcotest.failf "%s diverges: %s" name reason)
-        v.Mir_fuzz.Difftest.failures;
-      v
+  let v = ok (D.replay ~seed:Miralis.Config.default_seed cases) in
+  List.iter
+    (fun (name, reason) -> Alcotest.failf "%s diverges: %s" name reason)
+    v.Mir_fuzz.Difftest.failures;
+  v

@@ -50,6 +50,61 @@ let test_replay_reproduces file () =
             o2.Explore.steps
       | Error e -> Alcotest.failf "second replay failed: %s" e)
 
+(* Saving a checked-in schedule writes its file back byte for byte,
+   and loading that copy gives the same schedule, so the replays above
+   also cover the round trip. *)
+let test_roundtrip () =
+  List.iter
+    (fun file ->
+      let sch = load_schedule file in
+      let path = Filename.temp_file "mir_schedule" ".jsonl" in
+      Schedule.save sch ~path;
+      let read p = In_channel.with_open_bin p In_channel.input_all in
+      Alcotest.(check string)
+        (file ^ " saved byte for byte")
+        (read (Filename.concat "schedules" file))
+        (read path);
+      let back = Schedule.load ~path in
+      Sys.remove path;
+      Alcotest.(check bool) (file ^ " loads back equal") true (back = Ok sch))
+    schedule_files
+
+(* A malformed or missing file is a diagnostic that names the file and,
+   for a malformed one, the line; loading never raises. *)
+let test_malformed_rejected () =
+  let meta =
+    {|{"v":1,"scenario":"ipi","bug":"msip-drop","seed":"0x1","nharts":2,|}
+    ^ {|"steps":10,"oracle":"msip-delivery"}|}
+  in
+  List.iter
+    (fun (name, text, line) ->
+      let path = Filename.temp_file ("mir_schedule_" ^ name) ".jsonl" in
+      (match text with
+      | Some t -> Out_channel.with_open_bin path (fun oc -> output_string oc t)
+      | None -> Sys.remove path);
+      let loaded = try Ok (Schedule.load ~path) with ex -> Error ex in
+      if Sys.file_exists path then Sys.remove path;
+      let prefix =
+        match line with
+        | Some n -> Printf.sprintf "%s:%d: " path n
+        | None -> path ^ ": "
+      in
+      match loaded with
+      | Error ex -> Alcotest.failf "%s: raised %s" name (Printexc.to_string ex)
+      | Ok (Ok _) -> Alcotest.failf "%s: accepted" name
+      | Ok (Error e) ->
+          if not (String.starts_with ~prefix e) then
+            Alcotest.failf "%s: diagnostic %S lacks %S" name e prefix)
+    [
+      ("empty", Some "", Some 1);
+      ("no-bug", Some {|{"v":1,"scenario":"ipi"}|}, Some 1);
+      ( "bad-switch",
+        Some (meta ^ "\n{\"at\":0,\"hart\":0}\n{\"at\":\"x\",\"hart\":1}\n"),
+        Some 3 );
+      ("hart-out-of-range", Some (meta ^ "\n\n{\"at\":0,\"hart\":2}\n"), Some 3);
+      ("missing", None, None);
+    ]
+
 (* Round-robin never catches any injected bug: its switch points are
    periodic, never adjacent to the trap windows the bugs need. *)
 let test_round_robin_blind bug () =
@@ -114,6 +169,12 @@ let () =
           (fun file ->
             Alcotest.test_case file `Slow (test_replay_reproduces file))
           schedule_files );
+      ( "artifacts",
+        [
+          Alcotest.test_case "schedules round-trip" `Quick test_roundtrip;
+          Alcotest.test_case "malformed schedules rejected" `Quick
+            test_malformed_rejected;
+        ] );
       ( "round-robin blind",
         List.map
           (fun bug ->

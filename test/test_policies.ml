@@ -15,33 +15,11 @@ module Vhart = Miralis.Vhart
 
 let vf2 = Platform.visionfive2
 
-let create_sandboxed ?firmware () =
+(* the sandbox reserves more policy PMP slots than the default one *)
+let create_sandboxed ?firmware ?(mode = Setup.Virtualized) () =
   let policy, state = Sandbox.create () in
-  (* the sandbox needs 3 policy PMP slots; rebuild the config through
-     Setup by adjusting the platform's default of 1 *)
-  let sys =
-    let m = Machine.create vf2.Platform.machine in
-    let fw =
-      (Option.value firmware ~default:Mir_firmware.Minisbi.image)
-        ~nharts:4 ~kernel_entry:Mir_kernel.Interp_kernel.entry
-    in
-    Machine.load_program m Mir_firmware.Layout.fw_base (fst fw);
-    Machine.load_program m Mir_kernel.Interp_kernel.entry
-      (fst (Mir_kernel.Interp_kernel.image ()));
-    let config =
-      Miralis.Config.make ~policy_pmp_slots:Sandbox.pmp_slots
-        ~cost:vf2.Platform.cost ~machine:vf2.Platform.machine ()
-    in
-    let mir = Monitor.create ~policy config m in
-    Monitor.boot mir ~fw_entry:Mir_firmware.Layout.fw_base;
-    {
-      Setup.platform = vf2;
-      mode = Setup.Virtualized;
-      machine = m;
-      miralis = Some mir;
-    }
-  in
-  (sys, state)
+  ( Setup.create ~policy ~policy_pmp_slots:Sandbox.pmp_slots ?firmware vf2 mode,
+    state )
 
 let test_sandbox_honest_firmware () =
   let sys, state = create_sandboxed () in
@@ -115,6 +93,31 @@ let test_sandbox_scrubs_registers () =
   Helpers.check_i64 "t0 restored" 0x1005L (Hart.get hart 5);
   Helpers.check_i64 "sp restored" 0x1002L (Hart.get hart 2)
 
+(* The run CLI's smoke script: a timer read and set, a self-IPI and a
+   misaligned load, each an offload candidate. The execution mode, not
+   the policy, decides whether they are offloaded. *)
+let test_sandbox_follows_mode () =
+  let offloads mode =
+    let sys, _ = create_sandboxed ~mode () in
+    Setup.run_scripts sys
+      [
+        Script.
+          [
+            Putchar 'o'; Rdtime; Set_timer 200L; Tick_wfi 100L; Ipi_self;
+            Misaligned_load; Putchar 'k'; Putchar '\n'; End;
+          ];
+      ];
+    Helpers.check_str "uart" "ok\n" (Setup.uart_output sys);
+    Miralis.Vfm_stats.offload_hits (Option.get (Setup.stats sys))
+  in
+  Alcotest.(check bool) "offloaded under Miralis" true
+    (offloads Setup.Virtualized > 0);
+  Helpers.check_int "nothing offloaded under no-offload" 0
+    (offloads Setup.Virtualized_no_offload);
+  match create_sandboxed ~mode:Setup.Native () with
+  | _ -> Alcotest.fail "a policy in Native mode was accepted"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Keystone                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -124,28 +127,9 @@ let enclave_size = 4096L
 
 let create_keystone () =
   let policy, state = Keystone.create () in
-  let m = Machine.create vf2.Platform.machine in
-  Machine.load_program m Mir_firmware.Layout.fw_base
-    (fst
-       (Mir_firmware.Minisbi.image ~nharts:4
-          ~kernel_entry:Mir_kernel.Interp_kernel.entry));
-  Machine.load_program m Mir_kernel.Interp_kernel.entry
-    (fst (Mir_kernel.Interp_kernel.image ()));
-  let config =
-    Miralis.Config.make ~policy_pmp_slots:Keystone.pmp_slots
-      ~cost:vf2.Platform.cost ~machine:vf2.Platform.machine ()
-  in
-  let mir = Monitor.create ~policy config m in
-  Monitor.boot mir ~fw_entry:Mir_firmware.Layout.fw_base;
-  let sys =
-    {
-      Setup.platform = vf2;
-      mode = Setup.Virtualized;
-      machine = m;
-      miralis = Some mir;
-    }
-  in
-  (sys, state)
+  ( Setup.create ~policy ~policy_pmp_slots:Keystone.pmp_slots vf2
+      Setup.Virtualized,
+    state )
 
 let stage_enclave sys ~iters =
   Machine.load_program sys.Setup.machine enclave_base
@@ -246,34 +230,14 @@ let test_keystone_interrupted_and_resumed () =
 (* ACE                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let create_ace () =
+let create_ace ?firmware platform =
   let policy, state = Ace.create () in
-  let platform = Platform.qemu_virt in
-  let m = Machine.create platform.Platform.machine in
-  Machine.load_program m Mir_firmware.Layout.fw_base
-    (fst
-       (Mir_firmware.Minisbi.image ~nharts:4
-          ~kernel_entry:Mir_kernel.Interp_kernel.entry));
-  Machine.load_program m Mir_kernel.Interp_kernel.entry
-    (fst (Mir_kernel.Interp_kernel.image ()));
-  let config =
-    Miralis.Config.make ~policy_pmp_slots:Ace.pmp_slots
-      ~cost:platform.Platform.cost ~machine:platform.Platform.machine ()
-  in
-  let mir = Monitor.create ~policy config m in
-  Monitor.boot mir ~fw_entry:Mir_firmware.Layout.fw_base;
-  let sys =
-    {
-      Setup.platform;
-      mode = Setup.Virtualized;
-      machine = m;
-      miralis = Some mir;
-    }
-  in
-  (sys, state)
+  ( Setup.create ~policy ~policy_pmp_slots:Ace.pmp_slots ?firmware platform
+      Setup.Virtualized,
+    state )
 
 let test_ace_cvm_lifecycle () =
-  let sys, state = create_ace () in
+  let sys, state = create_ace Platform.qemu_virt in
   Machine.load_program sys.Setup.machine enclave_base
     (Uapp.image ~base:enclave_base ~iters:80L);
   Script.write_descriptor sys.Setup.machine ~index:0 ~base:enclave_base
@@ -294,20 +258,12 @@ let test_ace_firmware_cannot_read_cvm () =
   (* The paper's headline for the ACE policy: the firmware is excluded
      from the CVM's TCB. A malicious firmware trying to read CVM
      memory faults on the policy PMP. *)
-  let policy, state = Ace.create () in
-  let m = Machine.create vf2.Platform.machine in
-  Machine.load_program m Mir_firmware.Layout.fw_base
-    (fst
-       (Mir_firmware.Evil.image Mir_firmware.Evil.Read_os_memory ~nharts:4
-          ~kernel_entry:Mir_kernel.Interp_kernel.entry));
-  Machine.load_program m Mir_kernel.Interp_kernel.entry
-    (fst (Mir_kernel.Interp_kernel.image ()));
-  let config =
-    Miralis.Config.make ~policy_pmp_slots:Ace.pmp_slots
-      ~cost:vf2.Platform.cost ~machine:vf2.Platform.machine ()
+  let sys, state =
+    create_ace
+      ~firmware:(Mir_firmware.Evil.image Mir_firmware.Evil.Read_os_memory)
+      vf2
   in
-  let mir = Monitor.create ~policy config m in
-  Monitor.boot mir ~fw_entry:Mir_firmware.Layout.fw_base;
+  let m = sys.Setup.machine and mir = Option.get sys.Setup.miralis in
   (* Stage a CVM over the kernel image area the evil firmware reads. *)
   state.Ace.cvms <-
     [
@@ -322,10 +278,6 @@ let test_ace_firmware_cannot_read_cvm () =
       };
     ];
   Array.iter (fun h -> Monitor.reinstall_pmp mir h) m.Machine.harts;
-  let sys =
-    { Setup.platform = vf2; mode = Setup.Virtualized; machine = m;
-      miralis = Some mir }
-  in
   (* The kernel's first instruction fetch... the kernel itself is
      inside the CVM region now, so use a script-free run: the evil
      firmware attacks on the first trap from the OS; the kernel's
@@ -755,6 +707,8 @@ let () =
     ([
        Alcotest.test_case "sandbox: honest firmware" `Quick
          test_sandbox_honest_firmware;
+       Alcotest.test_case "sandbox: follows the execution mode" `Quick
+         test_sandbox_follows_mode;
        Alcotest.test_case "sandbox: register scrubbing" `Quick
          test_sandbox_scrubs_registers;
      ]
