@@ -199,6 +199,8 @@ let run_cmd platform mode fw policy max_instrs trace record_file replay_file
   (match Setup.stats sys with
   | Some stats -> Format.printf "%a@." Miralis.Vfm_stats.pp stats
   | None -> ());
+  (let hits, misses, flushes = Machine.tlb_totals sys.Setup.machine in
+   Printf.printf "tlb: hits=%d misses=%d flushes=%d\n" hits misses flushes);
   (match sys.Setup.miralis with
   | Some { Miralis.Monitor.violation = Some v; _ } ->
       Printf.printf "policy violation: %s\n" v
@@ -312,9 +314,12 @@ let verify_sampled quick bug seed =
   in
   List.iter (fun r -> Format.printf "%a@." Mir_verif.Tasks.pp_report r) reports;
   let bad = List.exists (fun r -> r.Mir_verif.Tasks.mismatches > 0) reports in
-  if inject_bug <> None then
+  if inject_bug <> None then begin
     Printf.printf "\nbug injection %s %s\n" bug
-      (if bad then "DETECTED (as expected)" else "NOT detected: checker gap!")
+      (if bad then "DETECTED (as expected)"
+       else "NOT detected: checker gap!");
+    if not bad then exit 1
+  end
   else if bad then exit 1
 
 let verify_cmd symbolic quick bug seed =

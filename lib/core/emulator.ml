@@ -31,28 +31,9 @@ type outcome = { action : action; pmp_dirty : bool }
 let ok action = { action; pmp_dirty = false }
 let bug (config : Config.t) b = config.Config.inject_bug = Some b
 
-let intr_priority =
-  Cause.
-    [
-      (Machine_external, 11);
-      (Machine_software, 3);
-      (Machine_timer, 7);
-      (Supervisor_external, 9);
-      (Supervisor_software, 1);
-      (Supervisor_timer, 5);
-    ]
-
+(* MSI checked before MEI: the wrong-interrupt-priority bug. *)
 let intr_priority_buggy =
-  (* MSI checked before MEI: the wrong-interrupt-priority bug. *)
-  Cause.
-    [
-      (Machine_software, 3);
-      (Machine_external, 11);
-      (Machine_timer, 7);
-      (Supervisor_external, 9);
-      (Supervisor_software, 1);
-      (Supervisor_timer, 5);
-    ]
+  match Cause.priority with a :: b :: rest -> b :: a :: rest | l -> l
 
 (* ------------------------------------------------------------------ *)
 (* The emulator's pure state transforms, over an abstract bitvector    *)
@@ -115,13 +96,7 @@ let emulate_csr config (vh : Vhart.t) ctx ~bits op rd src csr_addr =
   (* The virtual privilege level is M while in vM-mode, so the
      privilege check always passes; the read-only check still
      applies. *)
-  let write_needed =
-    match (op, src) with
-    | Instr.Csrrw, _ -> true
-    | (Instr.Csrrs | Instr.Csrrc), Instr.Reg 0 -> false
-    | (Instr.Csrrs | Instr.Csrrc), Instr.Imm 0 -> false
-    | (Instr.Csrrs | Instr.Csrrc), _ -> true
-  in
+  let write_needed = Instr.csr_writes op src in
   if write_needed && Csr_addr.is_read_only csr_addr then illegal ()
   else begin
     let src_val =
@@ -246,10 +221,43 @@ let check_virtual_interrupt config (vh : Vhart.t) =
   let vcsr = vh.Vhart.csr in
   let order =
     if bug config Config.Interrupt_priority_swapped then intr_priority_buggy
-    else intr_priority
+    else Cause.priority
   in
   Sem_c.virtual_interrupt ~order ~world:vh.Vhart.world
     ~mstatus:(Csr_file.read_raw vcsr Csr_addr.mstatus)
     ~mip:(Csr_file.read_raw vcsr Csr_addr.mip)
     ~mie:(Csr_file.read_raw vcsr Csr_addr.mie)
     ~mideleg:(Csr_file.read_raw vcsr Csr_addr.mideleg)
+
+(* Virtual trap entry: the hardware M-mode trap-entry transform applied
+   to the virtual CSRs, as if the trap came from [mpp]. *)
+let vtrap_entry (vh : Vhart.t) cause ~tval ~epc ~mpp =
+  let v = vh.Vhart.csr in
+  Csr_file.write_raw v Csr_addr.mepc epc;
+  Csr_file.write_raw v Csr_addr.mcause (Cause.to_xcause cause);
+  Csr_file.write_raw v Csr_addr.mtval tval;
+  Csr_file.write_raw v Csr_addr.mstatus
+    (Mir_rv.Hart.Xfer_c.trap_entry_m
+       ~mstatus:(Csr_file.read_raw v Csr_addr.mstatus)
+       ~from_priv:mpp);
+  Cause.tvec_target (Csr_file.read_raw v Csr_addr.mtvec) cause
+
+(* A trapped load or store performed on a guest's behalf: [access]
+   does the device, page-table or byte-wise work; the decode, the
+   extension and the rd write are shared by every backend. *)
+let load_store hart instr ~access =
+  match instr with
+  | Instr.Load { width; unsigned; rd; _ } ->
+      let size = Instr.width_bytes width in
+      Some
+        (Result.map
+           (fun v ->
+             Mir_rv.Hart.set hart rd
+               (if unsigned then v else Bits.sext v ~width:(8 * size)))
+           (access ~size ~write:None))
+  | Instr.Store { width; rs2; _ } ->
+      Some
+        (Result.map ignore
+           (access ~size:(Instr.width_bytes width)
+              ~write:(Some (Mir_rv.Hart.get hart rs2))))
+  | _ -> None

@@ -41,11 +41,9 @@ type outcome = {
           must be reinstalled *)
 }
 
-val intr_priority : (Mir_rv.Cause.intr * int) list
-(** Standard interrupt priority: MEI, MSI, MTI, SEI, SSI, STI. *)
-
-val intr_priority_buggy : (Mir_rv.Cause.intr * int) list
-(** MSI before MEI — the Interrupt_priority_swapped injected bug. *)
+val intr_priority_buggy : Mir_rv.Cause.intr list
+(** {!Mir_rv.Cause.priority} with MSI before MEI — the
+    Interrupt_priority_swapped injected bug. *)
 
 (** The emulator's pure state transforms over an abstract bitvector
     domain; [emulate] runs the concrete instantiation, the
@@ -61,7 +59,7 @@ module Sem (B : Mir_util.Bits_sig.S) : sig
   (** The Mpp_not_legalized bug: mask-merge, skipping WARL. *)
 
   val virtual_interrupt :
-    order:(Mir_rv.Cause.intr * int) list ->
+    order:Mir_rv.Cause.intr list ->
     world:Vhart.world ->
     mstatus:B.t ->
     mip:B.t ->
@@ -84,3 +82,28 @@ val check_virtual_interrupt :
     evaluated after each emulation since traps and privileged
     instructions can mask or unmask interrupts. The caller must first
     sync the virtual mip's M-level bits from the virtual CLINT. *)
+
+val vtrap_entry :
+  Vhart.t ->
+  Mir_rv.Cause.t ->
+  tval:int64 ->
+  epc:int64 ->
+  mpp:Mir_rv.Priv.t ->
+  int64
+(** Deliver a trap to the virtual firmware's CSRs as hardware would
+    from privilege [mpp]: mepc, mcause and mtval are set, mstatus goes
+    through {!Mir_rv.Hart.Xfer_c.trap_entry_m}, and the result is the
+    handler pc {!Mir_rv.Cause.tvec_target} derives from the virtual
+    mtvec. *)
+
+val load_store :
+  Mir_rv.Hart.t ->
+  Mir_rv.Instr.t ->
+  access:(size:int -> write:int64 option -> (int64, 'fault) result) ->
+  (unit, 'fault) result option
+(** Perform a trapped load or store on a guest's behalf. [access]
+    performs the access of [size] bytes ([write] carries the value of
+    a store) and returns the loaded value or the fault to report. A
+    load's value is extended by the instruction's width and signedness
+    into rd. [None] when the instruction is neither a load nor a
+    store. *)

@@ -39,18 +39,13 @@ let emit_event t hart kind =
 (* Resuming the hart                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Miralis leaves its handler with an mret; emulate the physical
-   mstatus pop. *)
+(* Miralis leaves its handler with an mret: the physical mstatus pop,
+   returning the privilege it restores. *)
 let phys_mret (hart : Hart.t) =
   let csr = hart.Hart.csr in
   let m = Csr_file.read_raw csr Csr_addr.mstatus in
-  let new_priv = Ms.get_mpp m in
-  let m = Bits.write m Ms.mie (Bits.test m Ms.mpie) in
-  let m = Bits.set m Ms.mpie in
-  let m = Ms.set_mpp m Priv.U in
-  let m = if new_priv <> Priv.M then Bits.clear m Ms.mprv else m in
-  Csr_file.write_raw csr Csr_addr.mstatus m;
-  new_priv
+  Csr_file.write_raw csr Csr_addr.mstatus (Hart.Xfer_c.mret_mstatus m);
+  Hart.Xfer_c.mret_target_priv m
 
 let return_to_os t (hart : Hart.t) ~pc =
   let priv = phys_mret hart in
@@ -141,28 +136,12 @@ let switch_to_os t hart vh =
 (* Virtual trap injection                                              *)
 (* ------------------------------------------------------------------ *)
 
-let vtvec_target vtvec cause =
-  let base = Int64.logand vtvec (Int64.lognot 3L) in
-  match cause with
-  | Cause.Interrupt i when Int64.logand vtvec 3L = 1L ->
-      Int64.add base (Int64.of_int (4 * Cause.intr_code i))
-  | _ -> base
-
 let inject_vtrap t hart (vh : Vhart.t) cause ~tval ~epc ~mpp =
   assert (vh.Vhart.world = Vhart.Firmware);
   emit_event t hart (Mir_trace.Event.Vtrap { cause; tval });
-  let v = vh.Vhart.csr in
-  Csr_file.write_raw v Csr_addr.mepc epc;
-  Csr_file.write_raw v Csr_addr.mcause (Cause.to_xcause cause);
-  Csr_file.write_raw v Csr_addr.mtval tval;
-  let m = Csr_file.read_raw v Csr_addr.mstatus in
-  let m = Bits.write m Ms.mpie (Bits.test m Ms.mie) in
-  let m = Bits.clear m Ms.mie in
-  let m = Ms.set_mpp m mpp in
-  Csr_file.write_raw v Csr_addr.mstatus m;
+  let pc = Emulator.vtrap_entry vh cause ~tval ~epc ~mpp in
   t.stats.Vfm_stats.vtraps <- t.stats.Vfm_stats.vtraps + 1;
-  enter_firmware t hart
-    ~pc:(vtvec_target (Csr_file.read_raw v Csr_addr.mtvec) cause)
+  enter_firmware t hart ~pc
 
 (* Re-inject an OS trap into the virtual firmware: world switch, then
    deliver with the privilege level hardware recorded in MPP. *)
@@ -244,9 +223,42 @@ let emulator_ctx _t (hart : Hart.t) epc =
     phys_custom_write = (fun a v -> Csr_file.write_raw hart.Hart.csr a v);
   }
 
+(* MPRV emulation: perform an access through the OS page tables on the
+   firmware's behalf (paper §4.2), protection-checked at MPP's
+   privilege against the *virtual* PMP, as architected. *)
+let mprv_access t (vh : Vhart.t) vaddr ~size ~write =
+  let v = vh.Vhart.csr in
+  let vms = Csr_file.read_raw v Csr_addr.mstatus in
+  let priv = Ms.get_mpp vms in
+  let access, perm, fault =
+    match write with
+    | None -> (Vmem.Load, Pmp.Read, Cause.Load_access_fault)
+    | Some _ -> (Vmem.Store, Pmp.Write, Cause.Store_access_fault)
+  in
+  match
+    Vmem.On_bus.translate_leaf t.machine.Machine.bus
+      ~satp:(Csr_file.read_raw v Csr_addr.satp)
+      ~priv ~sum:(Bits.test vms Ms.sum) ~mxr:(Bits.test vms Ms.mxr) access
+      vaddr
+  with
+  | Error e -> Error e
+  | Ok { Vmem.phys; _ }
+    when not
+           (Pmp.check ~entries:(Csr_file.pmp_entries v) ~priv perm ~addr:phys
+              ~size:1) ->
+      Error fault
+  | Ok { Vmem.phys; _ } -> (
+      match write with
+      | None ->
+          Option.to_result ~none:fault
+            (Machine.phys_load t.machine phys size)
+      | Some w ->
+          if Machine.phys_store t.machine phys size w then Ok 0L
+          else Error fault)
+
 (* A memory fault by the firmware: virtual-device emulation, the MPRV
    trick, or (by default) re-injection as the firmware's own fault. *)
-let handle_fw_memory_fault t hart vh cause =
+let handle_fw_memory_fault t hart vh exc =
   let csr = hart.Hart.csr in
   let epc = Csr_file.read_raw csr Csr_addr.mepc in
   let vaddr = Csr_file.read_raw csr Csr_addr.mtval in
@@ -259,215 +271,109 @@ let handle_fw_memory_fault t hart vh cause =
     && Bits.ule Vpmp.plic_base vaddr
     && Bits.ult vaddr (Int64.add Vpmp.plic_base Vpmp.plic_size)
   in
-  let vtrap () =
-    match cause with
-    | Cause.Exception e ->
-        inject_vtrap t hart vh (Cause.Exception e) ~tval:vaddr ~epc ~mpp:Priv.M
-    | Cause.Interrupt _ -> assert false
+  let vtrap exc =
+    inject_vtrap t hart vh (Cause.Exception exc) ~tval:vaddr ~epc ~mpp:Priv.M
   in
-  let resume_next () = enter_firmware t hart ~pc:(Int64.add epc 4L) in
+  (* Emulate the faulting load or store through [access]; anything
+     else is the firmware's own fault. *)
+  let emulate instr access =
+    match Emulator.load_store hart instr ~access with
+    | Some (Ok ()) -> enter_firmware t hart ~pc:(Int64.add epc 4L)
+    | Some (Error e) -> vtrap e
+    | None -> vtrap exc
+  in
   match fetch_fw_instr t hart with
-  | None -> vtrap ()
-  | Some instr -> begin
+  | None -> vtrap exc
+  | Some instr ->
       if in_vplic then begin
         (* experimental virtual PLIC emulation *)
-        let offset = Int64.sub vaddr Vpmp.plic_base in
-        let h = hart.Hart.id in
         charge t hart t.config.Config.cost.Cost.vclint_access;
-        match instr with
-        | Instr.Load { rd; _ } -> begin
-            match
-              Vplic.emulate_access t.vplic t.machine.Machine.plic ~hart:h
-                ~offset ~size:4 ~write:None
-            with
-            | Some v ->
-                Hart.set hart rd (Bits.sext v ~width:32);
-                resume_next ()
-            | None -> vtrap ()
-          end
-        | Instr.Store { rs2; _ } -> begin
-            match
-              Vplic.emulate_access t.vplic t.machine.Machine.plic ~hart:h
-                ~offset ~size:4 ~write:(Some (Hart.get hart rs2))
-            with
-            | Some _ -> resume_next ()
-            | None -> vtrap ()
-          end
-        | _ -> vtrap ()
+        emulate instr (fun ~size ~write ->
+            Option.to_result ~none:exc
+              (Vplic.emulate_access t.vplic t.machine.Machine.plic
+                 ~hart:hart.Hart.id
+                 ~offset:(Int64.sub vaddr Vpmp.plic_base)
+                 ~size ~write))
       end
       else if in_vdev then begin
         (* Virtual CLINT access. *)
-        let offset v = Int64.sub v Vpmp.vdev_base in
         t.stats.Vfm_stats.vclint_accesses <-
           t.stats.Vfm_stats.vclint_accesses + 1;
         charge t hart t.config.Config.cost.Cost.vclint_access;
-        match instr with
-        | Instr.Load { width; unsigned; rd; _ } -> begin
-            let size =
-              match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8
-            in
+        emulate instr (fun ~size ~write ->
             match
               Vclint.emulate_access t.vclint t.machine.Machine.clint
-                ~offset:(offset vaddr) ~size ~write:None
+                ~offset:(Int64.sub vaddr Vpmp.vdev_base)
+                ~size ~write
             with
             | Some v ->
-                let v =
-                  if unsigned || size = 8 then v
-                  else Bits.sext v ~width:(8 * size)
-                in
-                Hart.set hart rd v;
-                resume_next ()
-            | None -> vtrap ()
-          end
-        | Instr.Store { width; rs2; _ } -> begin
-            let size =
-              match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8
-            in
-            match
-              Vclint.emulate_access t.vclint t.machine.Machine.clint
-                ~offset:(offset vaddr) ~size ~write:(Some (Hart.get hart rs2))
-            with
-            | Some _ ->
-                sync_vmip t vh;
-                resume_next ()
-            | None -> vtrap ()
-          end
-        | _ -> vtrap ()
+                if Option.is_some write then sync_vmip t vh;
+                Ok v
+            | None -> Error exc)
       end
-      else if vh.Vhart.mprv_active then begin
-        (* MPRV emulation: perform the access through the OS page
-           tables on the firmware's behalf (paper §4.2). *)
-        let v = vh.Vhart.csr in
-        let satp = Csr_file.read_raw v Csr_addr.satp in
-        let vms = Csr_file.read_raw v Csr_addr.mstatus in
-        let priv = Ms.get_mpp vms in
-        let translate access =
-          Vmem.translate
-            ~read:(fun a -> Machine.phys_load t.machine a 8)
-            ~write:(fun a w -> ignore (Machine.phys_store t.machine a 8 w))
-            ~satp ~priv ~sum:(Bits.test vms Ms.sum)
-            ~mxr:(Bits.test vms Ms.mxr) access vaddr
-        in
-        (* MPRV accesses are protection-checked at MPP's privilege
-           against the *virtual* PMP, as architected. *)
-        let vpmp_ok access phys =
-          Pmp.check
-            ~entries:(Csr_file.pmp_entries v)
-            ~priv access ~addr:phys ~size:1
-        in
-        match instr with
-        | Instr.Load { width; unsigned; rd; _ } -> begin
-            let size =
-              match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8
-            in
-            match translate Vmem.Load with
-            | Error e ->
-                inject_vtrap t hart vh (Cause.Exception e) ~tval:vaddr ~epc
-                  ~mpp:Priv.M
-            | Ok phys when not (vpmp_ok Pmp.Read phys) ->
-                inject_vtrap t hart vh
-                  (Cause.Exception Cause.Load_access_fault) ~tval:vaddr ~epc
-                  ~mpp:Priv.M
-            | Ok phys -> begin
-                match Machine.phys_load t.machine phys size with
-                | None ->
-                    inject_vtrap t hart vh
-                      (Cause.Exception Cause.Load_access_fault) ~tval:vaddr
-                      ~epc ~mpp:Priv.M
-                | Some value ->
-                    let value =
-                      if unsigned || size = 8 then value
-                      else Bits.sext value ~width:(8 * size)
-                    in
-                    Hart.set hart rd value;
-                    resume_next ()
-              end
-          end
-        | Instr.Store { width; rs2; _ } -> begin
-            let size =
-              match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8
-            in
-            match translate Vmem.Store with
-            | Error e ->
-                inject_vtrap t hart vh (Cause.Exception e) ~tval:vaddr ~epc
-                  ~mpp:Priv.M
-            | Ok phys when not (vpmp_ok Pmp.Write phys) ->
-                inject_vtrap t hart vh
-                  (Cause.Exception Cause.Store_access_fault) ~tval:vaddr ~epc
-                  ~mpp:Priv.M
-            | Ok phys ->
-                if Machine.phys_store t.machine phys size (Hart.get hart rs2)
-                then resume_next ()
-                else
-                  inject_vtrap t hart vh
-                    (Cause.Exception Cause.Store_access_fault) ~tval:vaddr
-                    ~epc ~mpp:Priv.M
-          end
-        | _ -> vtrap ()
-      end
+      else if vh.Vhart.mprv_active then
+        emulate instr (mprv_access t vh vaddr)
       else begin
-        match t.policy.Policy.on_trap_from_fw (policy_ctx t hart) cause with
+        match t.policy.Policy.on_trap_from_fw (policy_ctx t hart) exc with
         | Policy.Handled -> ()
-        | Policy.Pass -> vtrap ()
+        | Policy.Pass -> vtrap exc
       end
-    end
 
-let handle_from_fw t hart vh cause =
+let handle_from_fw t hart vh exc =
   let csr = hart.Hart.csr in
   let epc = Csr_file.read_raw csr Csr_addr.mepc in
-  match cause with
-  | Cause.Exception Cause.Illegal_instr -> begin
+  let vtrap exc ~tval =
+    inject_vtrap t hart vh (Cause.Exception exc) ~tval ~epc ~mpp:Priv.M
+  in
+  match exc with
+  | Cause.Illegal_instr -> begin
       let bits = Csr_file.read_raw csr Csr_addr.mtval in
-      match Mir_rv.Decode.decode (Int64.to_int (Int64.logand bits 0xFFFFFFFFL)) with
+      let word = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
+      match Mir_rv.Decode.decode word with
       | Some instr when Instr.is_privileged instr ->
           let out =
-            Emulator.emulate t.config vh (emulator_ctx t hart epc)
-              ~bits:(Int64.to_int (Int64.logand bits 0xFFFFFFFFL))
+            Emulator.emulate t.config vh (emulator_ctx t hart epc) ~bits:word
               instr
           in
           apply_emulator_outcome t hart vh epc out
       | Some _ | None ->
           (* A genuinely illegal instruction in the firmware: deliver
              the firmware its own illegal-instruction trap. *)
-          inject_vtrap t hart vh cause ~tval:bits ~epc ~mpp:Priv.M
+          vtrap exc ~tval:bits
     end
-  | Cause.Exception Cause.Ecall_from_u -> begin
+  | Cause.Ecall_from_u -> begin
       (* The firmware's own ecall: virtually this is ecall-from-M. *)
       match t.policy.Policy.on_ecall_from_fw (policy_ctx t hart) with
       | Policy.Handled -> ()
-      | Policy.Pass ->
-          inject_vtrap t hart vh (Cause.Exception Cause.Ecall_from_m) ~tval:0L
-            ~epc ~mpp:Priv.M
+      | Policy.Pass -> vtrap Cause.Ecall_from_m ~tval:0L
     end
-  | Cause.Exception (Cause.Load_access_fault | Cause.Store_access_fault) ->
-      handle_fw_memory_fault t hart vh cause
-  | Cause.Exception
-      ( Cause.Load_misaligned | Cause.Store_misaligned | Cause.Breakpoint
-      | Cause.Instr_misaligned | Cause.Instr_access_fault ) -> begin
-      match t.policy.Policy.on_trap_from_fw (policy_ctx t hart) cause with
+  | Cause.Load_access_fault | Cause.Store_access_fault ->
+      handle_fw_memory_fault t hart vh exc
+  | Cause.Load_misaligned | Cause.Store_misaligned | Cause.Breakpoint
+  | Cause.Instr_misaligned | Cause.Instr_access_fault -> begin
+      match t.policy.Policy.on_trap_from_fw (policy_ctx t hart) exc with
       | Policy.Handled -> ()
-      | Policy.Pass ->
-          let tval = Csr_file.read_raw csr Csr_addr.mtval in
-          inject_vtrap t hart vh cause ~tval ~epc ~mpp:Priv.M
+      | Policy.Pass -> vtrap exc ~tval:(Csr_file.read_raw csr Csr_addr.mtval)
     end
-  | Cause.Exception
-      ( Cause.Ecall_from_s | Cause.Ecall_from_m | Cause.Instr_page_fault
-      | Cause.Load_page_fault | Cause.Store_page_fault ) ->
+  | Cause.Ecall_from_s | Cause.Ecall_from_m | Cause.Instr_page_fault
+  | Cause.Load_page_fault | Cause.Store_page_fault ->
       halt t
         (Printf.sprintf "unexpected trap from firmware world: %s"
-           (Cause.to_string cause))
-  | Cause.Interrupt _ ->
-      (* handled by the shared interrupt path in [handle] *)
-      assert false
+           (Cause.exc_to_string exc))
 
 (* ------------------------------------------------------------------ *)
 (* OS-world trap handling                                              *)
 (* ------------------------------------------------------------------ *)
 
-let handle_from_os t hart vh cause =
-  let csr = hart.Hart.csr in
-  match cause with
-  | Cause.Exception (Cause.Ecall_from_s | Cause.Ecall_from_u) -> begin
+(* An OS ecall goes to the policy, then the offload fast path, then the
+   firmware. Any other exception tries the fast path first, then the
+   policy, and is re-injected into the firmware only if both pass. *)
+let handle_from_os t hart vh exc =
+  let reinject ~tval =
+    reinject_from_os t hart vh (Cause.Exception exc) ~tval
+  in
+  match exc with
+  | Cause.Ecall_from_s | Cause.Ecall_from_u -> begin
       match t.policy.Policy.on_ecall_from_os (policy_ctx t hart) with
       | Policy.Handled -> ()
       | Policy.Pass -> begin
@@ -482,39 +388,31 @@ let handle_from_os t hart vh cause =
               return_to_os t hart ~pc
           | Offload.Not_handled ->
               emit_sbi false;
-              reinject_from_os t hart vh cause ~tval:0L
+              reinject ~tval:0L
         end
     end
-  | Cause.Exception Cause.Illegal_instr -> begin
-      let bits = Csr_file.read_raw csr Csr_addr.mtval in
-      match Offload.try_illegal t.config t.machine t.stats hart ~bits with
+  | _ -> begin
+      let tval = Csr_file.read_raw hart.Hart.csr Csr_addr.mtval in
+      let fast_path =
+        match exc with
+        | Cause.Illegal_instr ->
+            Offload.try_illegal t.config t.machine t.stats hart ~bits:tval
+        | Cause.Load_misaligned ->
+            Offload.try_misaligned t.config t.machine t.stats hart
+              ~store:false
+        | Cause.Store_misaligned ->
+            Offload.try_misaligned t.config t.machine t.stats hart
+              ~store:true
+        | _ -> Offload.Not_handled
+      in
+      match fast_path with
       | Offload.Resume_at pc -> return_to_os t hart ~pc
-      | Offload.Not_handled -> reinject_from_os t hart vh cause ~tval:bits
+      | Offload.Not_handled -> begin
+          match t.policy.Policy.on_trap_from_os (policy_ctx t hart) exc with
+          | Policy.Handled -> ()
+          | Policy.Pass -> reinject ~tval
+        end
     end
-  | Cause.Exception Cause.Load_misaligned -> begin
-      match Offload.try_misaligned t.config t.machine t.stats hart ~store:false
-      with
-      | Offload.Resume_at pc -> return_to_os t hart ~pc
-      | Offload.Not_handled ->
-          reinject_from_os t hart vh cause
-            ~tval:(Csr_file.read_raw csr Csr_addr.mtval)
-    end
-  | Cause.Exception Cause.Store_misaligned -> begin
-      match Offload.try_misaligned t.config t.machine t.stats hart ~store:true
-      with
-      | Offload.Resume_at pc -> return_to_os t hart ~pc
-      | Offload.Not_handled ->
-          reinject_from_os t hart vh cause
-            ~tval:(Csr_file.read_raw csr Csr_addr.mtval)
-    end
-  | Cause.Exception _ -> begin
-      match t.policy.Policy.on_trap_from_os (policy_ctx t hart) cause with
-      | Policy.Handled -> ()
-      | Policy.Pass ->
-          reinject_from_os t hart vh cause
-            ~tval:(Csr_file.read_raw csr Csr_addr.mtval)
-    end
-  | Cause.Interrupt _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* M-level interrupts (shared between worlds)                          *)
@@ -590,16 +488,16 @@ let handle t (hart : Hart.t) cause =
             t.stats.Vfm_stats.traps_from_fw + 1);
       handle_interrupt t hart vh i
     end
-  | Cause.Exception _ -> begin
+  | Cause.Exception exc -> begin
       match vh.Vhart.world with
       | Vhart.Os ->
           t.stats.Vfm_stats.traps_from_os <-
             t.stats.Vfm_stats.traps_from_os + 1;
-          handle_from_os t hart vh cause
+          handle_from_os t hart vh exc
       | Vhart.Firmware ->
           t.stats.Vfm_stats.traps_from_fw <-
             t.stats.Vfm_stats.traps_from_fw + 1;
-          handle_from_fw t hart vh cause
+          handle_from_fw t hart vh exc
     end);
   (* Check for virtual interrupts: a pending-and-enabled virtual
      M-level interrupt preempts whichever world we were about to
@@ -621,16 +519,6 @@ let handle t (hart : Hart.t) cause =
      | None -> ()
    end);
   charge t hart t.config.Config.cost.Cost.trap_exit
-
-(* Mirror the machine's per-hart software-TLB counters into the
-   stats record so experiments report them alongside trap/offload
-   rates.  Derived observability only: not part of the checkpointed
-   architectural state. *)
-let refresh_tlb_stats t =
-  let hits, misses, flushes = Machine.tlb_totals t.machine in
-  t.stats.Vfm_stats.tlb_hits <- hits;
-  t.stats.Vfm_stats.tlb_misses <- misses;
-  t.stats.Vfm_stats.tlb_flushes <- flushes
 
 (* Checkpoint support: capture all monitor-owned state (the machine
    itself is snapshotted separately by [Mir_trace.Snapshot]) and

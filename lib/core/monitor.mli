@@ -67,7 +67,3 @@ val save : t -> unit -> unit
 (** Snapshot all monitor state (virtual harts, vCLINT, vPLIC, stats)
     and return the restore closure — pass as the [extra_save] of
     [Mir_trace.Snapshot.manage]. *)
-
-val refresh_tlb_stats : t -> unit
-(** Mirror the machine's software-TLB hit/miss/flush counters into
-    {!Vfm_stats} (called by the harness before reporting). *)

@@ -131,8 +131,8 @@ let try_illegal config (m : Machine.t) stats hart ~bits =
     | _ -> Not_handled
 
 (* Emulate one misaligned load/store on behalf of the OS: fetch and
-   decode the faulting instruction, translate byte-by-byte through the
-   OS page tables, and perform the access. *)
+   decode the faulting instruction, then perform the access byte by
+   byte through the OS page tables. *)
 let try_misaligned config (m : Machine.t) stats hart ~store =
   if not config.Config.offload then Not_handled
   else begin
@@ -141,61 +141,47 @@ let try_misaligned config (m : Machine.t) stats hart ~store =
     let vaddr = Csr_file.read_raw csr Csr_addr.mtval in
     (* Effective privilege of the interrupted access. *)
     let priv = Ms.get_mpp (Csr_file.read_raw csr Csr_addr.mstatus) in
-    let fetch_instr () =
-      match Machine.translate m hart ~priv Vmem.Fetch epc with
-      | Error _ -> None
-      | Ok phys -> begin
-          match Machine.phys_load m phys 4 with
-          | None -> None
-          | Some w -> Mir_rv.Decode.decode (Int64.to_int w)
-        end
+    let phys access a =
+      Result.to_option (Machine.translate m hart ~priv access a)
     in
-    let byte_at a =
-      match Machine.translate m hart ~priv Vmem.Load a with
-      | Error _ -> None
-      | Ok phys -> Machine.phys_load m phys 1
+    let byte i = Int64.add vaddr (Int64.of_int i) in
+    let rec read i acc =
+      if i < 0 then Ok acc
+      else
+        match
+          Option.bind (phys Vmem.Load (byte i)) (fun p ->
+              Machine.phys_load m p 1)
+        with
+        | Some b -> read (i - 1) (Int64.logor (Int64.shift_left acc 8) b)
+        | None -> Error ()
     in
-    let write_byte a v =
-      match Machine.translate m hart ~priv Vmem.Store a with
-      | Error _ -> false
-      | Ok phys -> Machine.phys_store m phys 1 v
+    let rec write v i size =
+      if i >= size then Ok 0L
+      else
+        match phys Vmem.Store (byte i) with
+        | Some p
+          when Machine.phys_store m p 1
+                 (Bits.extract v ~lo:(8 * i) ~hi:((8 * i) + 7)) ->
+            write v (i + 1) size
+        | _ -> Error ()
     in
-    let finish () =
-      stats.Vfm_stats.offload_misaligned <-
-        stats.Vfm_stats.offload_misaligned + 1;
-      charge hart config.Config.cost.Cost.offload_misaligned;
-      Resume_at (Int64.add epc 4L)
+    (* the instruction must be the kind of access that trapped *)
+    let access ~size ~write:w =
+      match w with
+      | None when not store -> read (size - 1) 0L
+      | Some v when store -> write v 0 size
+      | _ -> Error ()
     in
-    match fetch_instr () with
-    | Some (Instr.Load { width; unsigned; rd; _ }) when not store ->
-        let size = match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8 in
-        let rec read i acc =
-          if i < 0 then Some acc
-          else
-            match byte_at (Int64.add vaddr (Int64.of_int i)) with
-            | Some b -> read (i - 1) (Int64.logor (Int64.shift_left acc 8) b)
-            | None -> None
-        in
-        (match read (size - 1) 0L with
-        | Some v ->
-            let v =
-              if unsigned then v else Bits.sext v ~width:(8 * size)
-            in
-            Hart.set hart rd v;
-            finish ()
-        | None -> Not_handled)
-    | Some (Instr.Store { width; rs2; _ }) when store ->
-        let size = match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8 in
-        let v = Hart.get hart rs2 in
-        let rec write i =
-          if i >= size then true
-          else if
-            write_byte
-              (Int64.add vaddr (Int64.of_int i))
-              (Bits.extract v ~lo:(8 * i) ~hi:((8 * i) + 7))
-          then write (i + 1)
-          else false
-        in
-        if write 0 then finish () else Not_handled
-    | _ -> Not_handled
+    let instr =
+      Option.bind (phys Vmem.Fetch epc) (fun p ->
+          Option.bind (Machine.phys_load m p 4) (fun w ->
+              Mir_rv.Decode.decode (Int64.to_int w)))
+    in
+    match Option.bind instr (Emulator.load_store hart ~access) with
+    | Some (Ok ()) ->
+        stats.Vfm_stats.offload_misaligned <-
+          stats.Vfm_stats.offload_misaligned + 1;
+        charge hart config.Config.cost.Cost.offload_misaligned;
+        Resume_at (Int64.add epc 4L)
+    | Some (Error ()) | None -> Not_handled
   end

@@ -19,10 +19,10 @@ type ctx = {
 type t = {
   name : string;
   on_ecall_from_os : ctx -> decision;
-  on_trap_from_os : ctx -> Mir_rv.Cause.t -> decision;
+  on_trap_from_os : ctx -> Mir_rv.Cause.exc -> decision;
   on_switch_to_fw : ctx -> unit;
   on_ecall_from_fw : ctx -> decision;
-  on_trap_from_fw : ctx -> Mir_rv.Cause.t -> decision;
+  on_trap_from_fw : ctx -> Mir_rv.Cause.exc -> decision;
   on_switch_to_os : ctx -> unit;
   on_interrupt : ctx -> Mir_rv.Cause.intr -> decision;
   pmp_entries : ctx -> Mir_rv.Pmp.entry list;

@@ -41,10 +41,15 @@ type ctx = {
 type t = {
   name : string;
   on_ecall_from_os : ctx -> decision;
-  on_trap_from_os : ctx -> Mir_rv.Cause.t -> decision;
+  on_trap_from_os : ctx -> Mir_rv.Cause.exc -> decision;
+      (** an OS exception other than an ecall that the offload fast
+          path did not handle; [Pass] re-injects it into the
+          firmware *)
   on_switch_to_fw : ctx -> unit;
   on_ecall_from_fw : ctx -> decision;
-  on_trap_from_fw : ctx -> Mir_rv.Cause.t -> decision;
+  on_trap_from_fw : ctx -> Mir_rv.Cause.exc -> decision;
+      (** a firmware exception the monitor does not emulate itself;
+          [Pass] re-injects it into the firmware *)
   on_switch_to_os : ctx -> unit;
   on_interrupt : ctx -> Mir_rv.Cause.intr -> decision;
   pmp_entries : ctx -> Mir_rv.Pmp.entry list;

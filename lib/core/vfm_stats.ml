@@ -19,11 +19,6 @@ type t = {
      charge_ace_return) *)
   mutable ace_steals : int;
   mutable ace_returns : int;
-  (* simulator memory-system counters, mirrored from the machine's
-     per-hart software TLBs (see Monitor.refresh_tlb_stats) *)
-  mutable tlb_hits : int;
-  mutable tlb_misses : int;
-  mutable tlb_flushes : int;
 }
 
 let create () =
@@ -42,9 +37,6 @@ let create () =
     pmp_remote_reinstalls = 0;
     ace_steals = 0;
     ace_returns = 0;
-    tlb_hits = 0;
-    tlb_misses = 0;
-    tlb_flushes = 0;
   }
 
 (* Checkpoint support: every field is a mutable int, so a shallow
@@ -65,10 +57,7 @@ let load_state t s =
   t.vclint_accesses <- s.vclint_accesses;
   t.pmp_remote_reinstalls <- s.pmp_remote_reinstalls;
   t.ace_steals <- s.ace_steals;
-  t.ace_returns <- s.ace_returns;
-  t.tlb_hits <- s.tlb_hits;
-  t.tlb_misses <- s.tlb_misses;
-  t.tlb_flushes <- s.tlb_flushes
+  t.ace_returns <- s.ace_returns
 
 let offload_hits t =
   t.offload_time_read + t.offload_set_timer + t.offload_ipi + t.offload_rfence
@@ -88,19 +77,14 @@ let reset t =
   t.vclint_accesses <- 0;
   t.pmp_remote_reinstalls <- 0;
   t.ace_steals <- 0;
-  t.ace_returns <- 0;
-  t.tlb_hits <- 0;
-  t.tlb_misses <- 0;
-  t.tlb_flushes <- 0
+  t.ace_returns <- 0
 
 let pp fmt t =
   Format.fprintf fmt
     "traps: os=%d fw=%d | world switches=%d | emulated=%d vtraps=%d | \
      offload: time=%d timer=%d ipi=%d rfence=%d misaligned=%d | vclint=%d | \
-     pmp remote=%d | ace: steals=%d returns=%d | tlb: hits=%d misses=%d \
-     flushes=%d"
+     pmp remote=%d | ace: steals=%d returns=%d"
     t.traps_from_os t.traps_from_fw t.world_switches t.emulated_instrs
     t.vtraps t.offload_time_read t.offload_set_timer t.offload_ipi
     t.offload_rfence t.offload_misaligned t.vclint_accesses
-    t.pmp_remote_reinstalls t.ace_steals t.ace_returns t.tlb_hits
-    t.tlb_misses t.tlb_flushes
+    t.pmp_remote_reinstalls t.ace_steals t.ace_returns

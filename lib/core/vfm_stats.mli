@@ -23,11 +23,6 @@ type t = {
   mutable ace_returns : int;
       (** harts returned from a confidential-VM vcpu (confidential →
           non-confidential) *)
-  mutable tlb_hits : int;
-      (** simulator software-TLB counters, mirrored from the machine
-          (Monitor.refresh_tlb_stats) *)
-  mutable tlb_misses : int;
-  mutable tlb_flushes : int;
 }
 
 val create : unit -> t

@@ -71,7 +71,6 @@ let branch_ops =
   [| Instr.Beq; Instr.Bne; Instr.Blt; Instr.Bge; Instr.Bltu; Instr.Bgeu |]
 
 let widths = [| Instr.B; Instr.H; Instr.W; Instr.D |]
-let width_size = function Instr.B -> 1 | Instr.H -> 2 | Instr.W -> 4 | Instr.D -> 8
 
 let amo_ops =
   [| Instr.Lr; Instr.Sc; Instr.Swap; Instr.Amoadd; Instr.Amoxor;
@@ -148,7 +147,7 @@ let gen_target_delta prng i n =
 
 let gen_mem prng ~wild =
   let width = Prng.choose prng widths in
-  let size = width_size width in
+  let size = Instr.width_bytes width in
   let base = if Prng.bool prng then 10 else 11 in
   let off =
     if Prng.int_below prng 10 = 0 then Prng.int_below prng 0x7F8 (* any alignment *)

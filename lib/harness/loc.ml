@@ -38,7 +38,7 @@ let table1 () =
           ("Emulator", count_files root (core "emulator"));
           ( "Hardware interface",
             count_files root (core "world" @ core "vpmp" @ core "vhart") );
-          ("MMIO devices", count_files root (core "vclint"));
+          ("MMIO devices", count_files root (core "vclint" @ core "vplic"));
           ("Fast path offload", count_files root (core "offload"));
           ( "Other",
             count_files root

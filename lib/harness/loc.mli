@@ -12,7 +12,8 @@ val project_root : unit -> string option
     current directory. *)
 
 val table1 : unit -> (string * int) list
-(** (subsystem, LoC) rows for the VFM core, ending with a total. *)
+(** (subsystem, LoC) rows for the VFM core, ending with a total that
+    counts every module of [lib/core]. *)
 
 val repo_inventory : unit -> (string * int) list
 (** Non-blank [.ml]/[.mli] lines per directory: one row for every

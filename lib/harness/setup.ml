@@ -111,11 +111,7 @@ let state_hash system = Mir_trace.Snapshot.hash system.machine
 let hart0_cycles system = system.machine.Machine.harts.(0).Hart.cycles
 
 let stats system =
-  Option.map
-    (fun m ->
-      Miralis.Monitor.refresh_tlb_stats m;
-      m.Miralis.Monitor.stats)
-    system.miralis
+  Option.map (fun m -> m.Miralis.Monitor.stats) system.miralis
 
 let uart_output system = Mir_rv.Uart.output system.machine.Machine.uart
 

@@ -111,15 +111,14 @@ let create ?(allow_uart = true)
       done
     end
   in
-  let on_trap_from_fw (ctx : Policy.ctx) cause =
-    match cause with
-    | Cause.Exception
-        ( Cause.Load_access_fault | Cause.Store_access_fault
-        | Cause.Instr_access_fault ) ->
+  let on_trap_from_fw (ctx : Policy.ctx) exc =
+    match exc with
+    | Cause.Load_access_fault | Cause.Store_access_fault
+    | Cause.Instr_access_fault ->
         state.violations <- state.violations + 1;
         ctx.Policy.report_violation
           (Printf.sprintf "sandbox: firmware %s at %s"
-             (Cause.to_string cause)
+             (Cause.exc_to_string exc)
              (Mir_util.Bits.to_hex
                 (Mir_rv.Csr_file.read_raw ctx.Policy.hart.Hart.csr
                    Mir_rv.Csr_addr.mtval)));
@@ -128,7 +127,7 @@ let create ?(allow_uart = true)
   in
   (* Misaligned accesses are emulated in the policy itself so the
      firmware never needs OS register state (paper §5.2). *)
-  let on_trap_from_os (ctx : Policy.ctx) cause =
+  let on_trap_from_os (ctx : Policy.ctx) exc =
     let emulate ~store =
       match
         Miralis.Offload.try_misaligned
@@ -142,9 +141,9 @@ let create ?(allow_uart = true)
           Policy.Handled
       | Miralis.Offload.Not_handled -> Policy.Pass
     in
-    match cause with
-    | Cause.Exception Cause.Load_misaligned -> emulate ~store:false
-    | Cause.Exception Cause.Store_misaligned -> emulate ~store:true
+    match exc with
+    | Cause.Load_misaligned -> emulate ~store:false
+    | Cause.Store_misaligned -> emulate ~store:true
     | _ -> Policy.Pass
   in
   let policy =

@@ -74,6 +74,17 @@ let intr_of_code = function
   | 11 -> Some Machine_external
   | _ -> None
 
+(* Standard priority: MEI, MSI, MTI, SEI, SSI, STI. *)
+let priority =
+  [
+    Machine_external;
+    Machine_software;
+    Machine_timer;
+    Supervisor_external;
+    Supervisor_software;
+    Supervisor_timer;
+  ]
+
 let interrupt_bit = Int64.shift_left 1L 63
 
 let to_xcause = function
@@ -89,6 +100,16 @@ let of_xcause v =
     match exc_of_code (Int64.to_int (Int64.logand v 0xFFL)) with
     | Some e -> Some (Exception e)
     | None -> None
+
+(* The handler address of a trap through [tvec] (mtvec/stvec): the
+   base with the MODE bits cleared, plus 4 x cause for an interrupt
+   when MODE is 1 (vectored). *)
+let tvec_target tvec cause =
+  let base = Int64.logand tvec (Int64.lognot 3L) in
+  match cause with
+  | Interrupt i when Int64.logand tvec 3L = 1L ->
+      Int64.add base (Int64.of_int (4 * intr_code i))
+  | _ -> base
 
 let exc_to_string = function
   | Instr_misaligned -> "instruction address misaligned"

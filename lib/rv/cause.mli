@@ -38,12 +38,21 @@ val intr_code : intr -> int
 val exc_of_code : int -> exc option
 val intr_of_code : int -> intr option
 
+val priority : intr list
+(** The standard interrupt priority, highest first: MEI, MSI, MTI,
+    SEI, SSI, STI. A pending interrupt's mip bit is its code. *)
+
 val to_xcause : t -> int64
 (** The value written to [mcause]/[scause]. *)
 
 val of_xcause : int64 -> t option
 (** Inverse of {!to_xcause} for standard codes. *)
 
+val tvec_target : int64 -> t -> int64
+(** The handler pc of a trap through an mtvec/stvec value: the base,
+    offset by 4 x cause for an interrupt in vectored mode. *)
+
+val exc_to_string : exc -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -136,15 +136,12 @@ module Xfer (B : Mir_util.Bits_sig.S) = struct
 
   (* Highest-priority pending interrupt in [mask], per [order]. *)
   let select_interrupt order mask =
-    match
-      List.find_opt (fun (_, code) -> B.decide (B.test mask code)) order
-    with
-    | Some (i, _) -> Some i
-    | None -> None
+    List.find_opt (fun i -> B.decide (B.test mask (Cause.intr_code i))) order
 
   (* The architectural pending-interrupt decision (privilege enables,
-     mideleg routing, priority), shared verbatim with the machine. *)
-  let pending_interrupt ~order ~priv ~mstatus ~mip ~mie ~mideleg =
+     mideleg routing, {!Cause.priority}), shared verbatim with the
+     machine. *)
+  let pending_interrupt ~priv ~mstatus ~mip ~mie ~mideleg =
     let pending = B.logand mip mie in
     if B.decide (B.eq_const pending 0L) then None
     else begin
@@ -155,12 +152,12 @@ module Xfer (B : Mir_util.Bits_sig.S) = struct
       let m_pending = B.logand pending (B.lognot mideleg) in
       let s_pending = B.logand pending mideleg in
       if m_enabled && not (B.decide (B.eq_const m_pending 0L)) then
-        select_interrupt order m_pending
+        select_interrupt Cause.priority m_pending
       else if
         s_enabled
         && (not (B.decide (B.eq_const s_pending 0L)))
         && priv <> Priv.M
-      then select_interrupt order s_pending
+      then select_interrupt Cause.priority s_pending
       else None
     end
 end

@@ -80,18 +80,19 @@ module Xfer (B : Mir_util.Bits_sig.S) : sig
   val csr_rmw : Instr.csr_op -> old:B.t -> src:B.t -> B.t
   (** The written value of csrrw/csrrs/csrrc before WARL merging. *)
 
-  val select_interrupt : (Cause.intr * int) list -> B.t -> Cause.intr option
-  (** Highest-priority pending interrupt in the mask, if any. *)
+  val select_interrupt : Cause.intr list -> B.t -> Cause.intr option
+  (** Highest-priority pending interrupt in the mask, if any, with
+      priority given highest first. *)
 
   val pending_interrupt :
-    order:(Cause.intr * int) list ->
     priv:Priv.t ->
     mstatus:B.t ->
     mip:B.t ->
     mie:B.t ->
     mideleg:B.t ->
     Cause.intr option
-  (** The architectural take-an-interrupt decision. *)
+  (** The architectural take-an-interrupt decision, in
+      {!Cause.priority} order. *)
 end
 
 module Xfer_c : sig
@@ -102,10 +103,9 @@ module Xfer_c : sig
   val sret_mstatus : int64 -> int64
   val sret_target_priv : int64 -> Priv.t
   val csr_rmw : Instr.csr_op -> old:int64 -> src:int64 -> int64
-  val select_interrupt : (Cause.intr * int) list -> int64 -> Cause.intr option
+  val select_interrupt : Cause.intr list -> int64 -> Cause.intr option
 
   val pending_interrupt :
-    order:(Cause.intr * int) list ->
     priv:Priv.t ->
     mstatus:int64 ->
     mip:int64 ->

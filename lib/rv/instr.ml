@@ -54,6 +54,15 @@ let is_privileged = function
   | Amo _ ->
       false
 
+let width_bytes = function B -> 1 | H -> 2 | W -> 4 | D -> 8
+
+(* csrrs/csrrc with rs1 = x0 or a zero immediate only read the CSR. *)
+let csr_writes op src =
+  match (op, src) with
+  | Csrrw, _ -> true
+  | (Csrrs | Csrrc), (Reg 0 | Imm 0) -> false
+  | (Csrrs | Csrrc), _ -> true
+
 (* Block-engine classification (lib/rv/block.ml). A pure instruction
    touches only the register file and pc: it cannot trap, cannot
    access memory or CSRs, and fires no observation hook, so the block

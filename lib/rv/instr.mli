@@ -73,6 +73,14 @@ type t =
     zero-extended immediate (the [csrrwi] forms). *)
 and src = Reg of reg | Imm of int
 
+val width_bytes : width -> int
+(** The access size in bytes: 1, 2, 4 or 8. *)
+
+val csr_writes : csr_op -> src -> bool
+(** Whether a CSR instruction writes its CSR: [csrrw] always,
+    [csrrs]/[csrrc] unless the source is x0 or a zero immediate. A
+    write to a read-only CSR is an illegal instruction. *)
+
 val is_privileged : t -> bool
 (** True for the instructions a virtual firmware monitor must emulate:
     CSR accesses, [mret], [sret], [wfi], [sfence.vma]. This is the set

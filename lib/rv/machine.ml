@@ -7,7 +7,6 @@ type config = {
   ram_base : int64;
   ram_size : int;
   cycles_per_tick : int;
-  hw_misaligned : bool;
   trap_penalty : int;
   xret_penalty : int;
   mmio_penalty : int;
@@ -25,7 +24,6 @@ let default_config =
     ram_base = 0x80000000L;
     ram_size = 16 * 1024 * 1024;
     cycles_per_tick = 100;
-    hw_misaligned = false;
     trap_penalty = 140;
     xret_penalty = 100;
     mmio_penalty = 60;
@@ -228,11 +226,10 @@ let mstatus hart = Csr_file.read_raw hart.Hart.csr Csr_addr.mstatus
 let translate t hart ~priv access vaddr =
   let satp = Csr_file.read_raw hart.Hart.csr Csr_addr.satp in
   let ms = mstatus hart in
-  Vmem.translate
-    ~read:(fun a -> phys_load t a 8)
-    ~write:(fun a v -> ignore (phys_store t a 8 v))
-    ~satp ~priv ~sum:(Bits.test ms Ms.sum) ~mxr:(Bits.test ms Ms.mxr) access
-    vaddr
+  Result.map
+    (fun l -> l.Vmem.phys)
+    (Vmem.On_bus.translate_leaf t.bus ~satp ~priv ~sum:(Bits.test ms Ms.sum)
+       ~mxr:(Bits.test ms Ms.mxr) access vaddr)
 
 let charge hart n = hart.Hart.cycles <- hart.Hart.cycles + n
 
@@ -260,18 +257,6 @@ let update_irq_lines t hart =
         (Bits.ule stimecmp (Clint.mtime t.clint))
   end
 
-(* Standard priority: MEI, MSI, MTI, SEI, SSI, STI. *)
-let intr_priority =
-  Cause.
-    [
-      (Machine_external, 11);
-      (Machine_software, 3);
-      (Machine_timer, 7);
-      (Supervisor_external, 9);
-      (Supervisor_software, 1);
-      (Supervisor_timer, 5);
-    ]
-
 let pending_interrupt t hart =
   ignore t;
   let csr = hart.Hart.csr in
@@ -280,20 +265,13 @@ let pending_interrupt t hart =
   (* fast path: the common every-step case allocates nothing *)
   if Int64.logand mip mie = 0L then None
   else
-    Hart.Xfer_c.pending_interrupt ~order:intr_priority ~priv:hart.Hart.priv
+    Hart.Xfer_c.pending_interrupt ~priv:hart.Hart.priv
       ~mstatus:(mstatus hart) ~mip ~mie
       ~mideleg:(Csr_file.read_raw csr Csr_addr.mideleg)
 
 (* ------------------------------------------------------------------ *)
 (* Trap entry                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let tvec_target tvec cause =
-  let base = Int64.logand tvec (Int64.lognot 3L) in
-  match cause with
-  | Cause.Interrupt i when Int64.logand tvec 3L = 1L ->
-      Int64.add base (Int64.of_int (4 * Cause.intr_code i))
-  | _ -> base
 
 let take_trap t hart cause ~tval =
   charge hart t.config.trap_penalty;
@@ -324,7 +302,7 @@ let take_trap t hart cause ~tval =
     | Some hook -> hook t hart cause
     | None ->
         hart.Hart.pc <-
-          tvec_target (Csr_file.read_raw csr Csr_addr.mtvec) cause);
+          Cause.tvec_target (Csr_file.read_raw csr Csr_addr.mtvec) cause);
     (* the handler (hook or firmware-to-be) may retire device state:
        refresh the lines before the next interrupt decision *)
     update_irq_lines t hart
@@ -339,7 +317,8 @@ let take_trap t hart cause ~tval =
     Csr_file.write_raw csr Csr_addr.mstatus
       (Hart.Xfer_c.trap_entry_s ~mstatus:(mstatus hart) ~from_priv);
     hart.Hart.priv <- Priv.S;
-    hart.Hart.pc <- tvec_target (Csr_file.read_raw csr Csr_addr.stvec) cause
+    hart.Hart.pc <-
+      Cause.tvec_target (Csr_file.read_raw csr Csr_addr.stvec) cause
   end
 
 (* ------------------------------------------------------------------ *)
@@ -374,7 +353,7 @@ let page_mask = Int64.lognot 0xFFFL
    page together with page-wide PMP verdicts so subsequent hits can
    skip the range scan.  Accesses never straddle a page here: aligned
    accesses of size <= 8 cannot cross a 4 KiB boundary, and misaligned
-   ones are resolved byte by byte. *)
+   ones trap before they get here. *)
 let resolve t hart ~priv access vaddr size =
   let csr = hart.Hart.csr in
   if priv = Priv.M || Csr_file.read_raw csr Csr_addr.satp = 0L then begin
@@ -414,97 +393,53 @@ let resolve t hart ~priv access vaddr size =
     end
   end
 
+(* A misaligned load or store traps: the VFM's offload or the
+   firmware emulates it. *)
 let vload t hart vaddr size ~signed =
+  if not (Bits.is_aligned vaddr ~size) then
+    raise (Cause.Trap (Cause.Load_misaligned, vaddr));
   let priv = effective_priv hart in
-  if not (Bits.is_aligned vaddr ~size) then begin
-    if not t.config.hw_misaligned then
-      raise (Cause.Trap (Cause.Load_misaligned, vaddr));
-    (* Slow byte-wise path for hardware-handled misaligned loads.
-       MMIO bytes pay the same penalty and fire the same hook as the
-       aligned path, so costs and trace recording agree. *)
-    let v = ref 0L in
-    for i = size - 1 downto 0 do
-      let a = Int64.add vaddr (Int64.of_int i) in
-      let phys = resolve t hart ~priv Vmem.Load a 1 in
-      let is_mmio = not (Memory.in_range (Bus.ram t.bus) phys 1) in
-      if is_mmio then charge hart t.config.mmio_penalty;
-      match phys_load t phys 1 with
-      | Some b ->
-          (if is_mmio then
-             match t.on_mmio with
-             | Some f -> f t hart ~write:false ~addr:phys ~size:1 ~value:b
-             | None -> ());
-          v := Int64.logor (Int64.shift_left !v 8) b
-      | None -> raise (Cause.Trap (Cause.Load_access_fault, vaddr))
-    done;
-    if signed then Bits.sext !v ~width:(8 * size) else !v
-  end
-  else begin
-    let phys = resolve t hart ~priv Vmem.Load vaddr size in
-    let is_mmio = not (Memory.in_range (Bus.ram t.bus) phys size) in
-    if is_mmio then charge hart t.config.mmio_penalty;
-    match phys_load t phys size with
-    | Some v ->
-        (if is_mmio then
-           match t.on_mmio with
-           | Some f -> f t hart ~write:false ~addr:phys ~size ~value:v
-           | None -> ());
-        if signed then Bits.sext v ~width:(8 * size) else v
-    | None -> raise (Cause.Trap (Cause.Load_access_fault, vaddr))
-  end
-
-let vstore t hart vaddr size v =
-  let priv = effective_priv hart in
-  if not (Bits.is_aligned vaddr ~size) then begin
-    if not t.config.hw_misaligned then
-      raise (Cause.Trap (Cause.Store_misaligned, vaddr));
-    for i = 0 to size - 1 do
-      let a = Int64.add vaddr (Int64.of_int i) in
-      let phys = resolve t hart ~priv Vmem.Store a 1 in
-      let byte = Bits.extract v ~lo:(8 * i) ~hi:((8 * i) + 7) in
-      let is_mmio = not (Memory.in_range (Bus.ram t.bus) phys 1) in
-      if is_mmio then begin
-        charge hart t.config.mmio_penalty;
-        (* as on the aligned path: a device store may change interrupt
-           lines, so force a refresh on every hart's next step *)
-        Array.iter (fun h -> h.Hart.irq_stale <- 16) t.harts
-      end;
-      if not (phys_store t phys 1 byte) then
-        raise (Cause.Trap (Cause.Store_access_fault, vaddr));
+  let phys = resolve t hart ~priv Vmem.Load vaddr size in
+  let is_mmio = not (Memory.in_range (Bus.ram t.bus) phys size) in
+  if is_mmio then charge hart t.config.mmio_penalty;
+  match phys_load t phys size with
+  | Some v ->
       (if is_mmio then
          match t.on_mmio with
-         | Some f -> f t hart ~write:true ~addr:phys ~size:1 ~value:byte
+         | Some f -> f t hart ~write:false ~addr:phys ~size ~value:v
          | None -> ());
-      icache_invalidate t phys 1
-    done
-  end
-  else begin
-    let phys = resolve t hart ~priv Vmem.Store vaddr size in
-    let is_mmio = not (Memory.in_range (Bus.ram t.bus) phys size) in
-    if is_mmio then begin
-      charge hart t.config.mmio_penalty;
-      (* a device store may change interrupt lines (CLINT msip /
-         mtimecmp): force a refresh on every hart's next step *)
-      Array.iter (fun h -> h.Hart.irq_stale <- 16) t.harts
-    end;
-    if not (phys_store t phys size v) then
-      raise (Cause.Trap (Cause.Store_access_fault, vaddr));
-    (if is_mmio then
-       match t.on_mmio with
-       | Some f -> f t hart ~write:true ~addr:phys ~size ~value:v
-       | None -> ());
-    (* stores break reservations overlapping the written bytes *)
-    Array.iter
-      (fun h ->
-        match h.Hart.reservation with
-        | Some r
-          when Bits.ult r (Int64.add phys (Int64.of_int size))
-               && Bits.ule phys r ->
-            h.Hart.reservation <- None
-        | _ -> ())
-      t.harts;
-    icache_invalidate t phys size
-  end
+      if signed then Bits.sext v ~width:(8 * size) else v
+  | None -> raise (Cause.Trap (Cause.Load_access_fault, vaddr))
+
+let vstore t hart vaddr size v =
+  if not (Bits.is_aligned vaddr ~size) then
+    raise (Cause.Trap (Cause.Store_misaligned, vaddr));
+  let priv = effective_priv hart in
+  let phys = resolve t hart ~priv Vmem.Store vaddr size in
+  let is_mmio = not (Memory.in_range (Bus.ram t.bus) phys size) in
+  if is_mmio then begin
+    charge hart t.config.mmio_penalty;
+    (* a device store may change interrupt lines (CLINT msip /
+       mtimecmp): force a refresh on every hart's next step *)
+    Array.iter (fun h -> h.Hart.irq_stale <- 16) t.harts
+  end;
+  if not (phys_store t phys size v) then
+    raise (Cause.Trap (Cause.Store_access_fault, vaddr));
+  (if is_mmio then
+     match t.on_mmio with
+     | Some f -> f t hart ~write:true ~addr:phys ~size ~value:v
+     | None -> ());
+  (* stores break reservations overlapping the written bytes *)
+  Array.iter
+    (fun h ->
+      match h.Hart.reservation with
+      | Some r
+        when Bits.ult r (Int64.add phys (Int64.of_int size))
+             && Bits.ule phys r ->
+          h.Hart.reservation <- None
+      | _ -> ())
+    t.harts;
+  icache_invalidate t phys size
 
 (* Fill one icache slot from RAM; [idx] is a word index inside RAM. *)
 let fetch_fill t idx ~pc =
@@ -584,13 +519,7 @@ let exec_csr t hart bits op rd src csr_addr =
   let csr = hart.Hart.csr in
   let priv = hart.Hart.priv in
   if Priv.compare priv (Csr_addr.min_priv csr_addr) < 0 then illegal bits;
-  let write_needed =
-    match (op, src) with
-    | Instr.Csrrw, _ -> true
-    | (Instr.Csrrs | Instr.Csrrc), Instr.Reg 0 -> false
-    | (Instr.Csrrs | Instr.Csrrc), Instr.Imm 0 -> false
-    | (Instr.Csrrs | Instr.Csrrc), _ -> true
-  in
+  let write_needed = Instr.csr_writes op src in
   if write_needed && Csr_addr.is_read_only csr_addr then illegal bits;
   (* TVM traps satp accesses from S-mode. *)
   if
@@ -673,13 +602,13 @@ let exec t hart instr bits =
       else next ()
   | Instr.Load { width; unsigned; rd; rs1; imm } ->
       let addr = Int64.add (Hart.get hart rs1) imm in
-      let size = match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8 in
+      let size = Instr.width_bytes width in
       let v = vload t hart addr size ~signed:(not unsigned) in
       Hart.set hart rd v;
       next ()
   | Instr.Store { width; rs2; rs1; imm } ->
       let addr = Int64.add (Hart.get hart rs1) imm in
-      let size = match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8 in
+      let size = Instr.width_bytes width in
       vstore t hart addr size (Hart.get hart rs2);
       next ()
   | Instr.Op_imm (op, rd, rs1, imm) ->
@@ -968,14 +897,14 @@ let op_of_instr t instr bits ~off =
               jump t h (Int64.add h.Hart.bpc tgt_rel)
             else h.Hart.pc <- Int64.add h.Hart.bpc next_rel)
   | Instr.Load { width; unsigned; rd; rs1; imm } ->
-      let size = match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8 in
+      let size = Instr.width_bytes width in
       let signed = not unsigned in
       fun h ->
         let v = vload t h (Int64.add (Hart.get h rs1) imm) size ~signed in
         Hart.set h rd v;
         h.Hart.pc <- Int64.add h.Hart.pc 4L
   | Instr.Store { width; rs2; rs1; imm } ->
-      let size = match width with Instr.B -> 1 | H -> 2 | W -> 4 | D -> 8 in
+      let size = Instr.width_bytes width in
       fun h ->
         vstore t h (Int64.add (Hart.get h rs1) imm) size (Hart.get h rs2);
         h.Hart.pc <- Int64.add h.Hart.pc 4L

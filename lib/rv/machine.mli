@@ -19,7 +19,6 @@ type config = {
   ram_base : int64;
   ram_size : int;
   cycles_per_tick : int;  (** CPU cycles per mtime tick *)
-  hw_misaligned : bool;  (** hardware performs misaligned accesses *)
   trap_penalty : int;  (** pipeline cost of taking any trap *)
   xret_penalty : int;  (** pipeline cost of mret/sret *)
   mmio_penalty : int;  (** uncached device access cost *)
@@ -30,8 +29,8 @@ type config = {
 
 val default_config : config
 (** One hart, 16 MiB of RAM at 0x8000_0000, CLINT/PLIC/UART mapped at
-    their conventional addresses, misaligned accesses trapping (like
-    the VisionFive 2). *)
+    their conventional addresses. A misaligned load or store always
+    traps, as on the VisionFive 2. *)
 
 (** Injectable cross-hart race windows (schedule explorer, lib/explore).
     Each defect delays one cross-hart propagation step — the remote TLB

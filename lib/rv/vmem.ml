@@ -29,7 +29,7 @@ type leaf = { phys : int64; pte : int64; level : int }
 
 (* The walker is functorized over its PTE memory so the hot path reads
    the bus directly (static module functions, no per-call closures)
-   while the monitor's MPRV emulation and the unit tests keep the
+   while the explorer's TLB oracle and the unit tests keep the
    flexible closure-backed view below. *)
 module type MEM = sig
   type mem
@@ -139,8 +139,8 @@ end
 
 module On_bus = Make (Bus_mem)
 
-(* Closure-backed walker: keeps the historical [translate] signature
-   for the monitor's MPRV load/store emulation and for tests that back
+(* Closure-backed walker: the [translate] signature for the explorer's
+   TLB oracle (which suppresses A/D write-back) and for tests that back
    PTE memory with a Hashtbl. *)
 module Fn_mem = struct
   type mem = {

@@ -12,10 +12,10 @@ type leaf = { phys : int64; pte : int64; level : int }
     page, -1 = bare/M-mode passthrough with [pte = 0]). Everything a
     TLB needs to install an entry. *)
 
-(** The walker is functorized over its PTE memory: the interpreter
-    instantiates it at {!Bus_mem} (static calls, no per-access closure
-    allocation); the monitor's MPRV emulation and tests use the
-    closure-backed {!translate} below. *)
+(** The walker is functorized over its PTE memory: the machine and the
+    monitor's MPRV emulation instantiate it at {!Bus_mem} (static
+    calls, no per-access closure allocation); the explorer's TLB
+    oracle and tests use the closure-backed {!translate} below. *)
 module type MEM = sig
   type mem
 

@@ -134,25 +134,10 @@ let apply_sample t sample =
 
 type verdict = Agree | Skip | Disagree of string
 
-let tvec_target tvec cause =
-  let base = Int64.logand tvec (Int64.lognot 3L) in
-  match cause with
-  | Cause.Interrupt i when Int64.logand tvec 3L = 1L ->
-      Int64.add base (Int64.of_int (4 * Cause.intr_code i))
-  | _ -> base
-
-(* Apply the hardware trap-entry transform to the virtual CSRs —
-   identical to what the machine's take_trap does on the reference. *)
+(* Complete a virtual trap with the monitor's own injection code (the
+   firmware traps from vM-mode at pc0); returns the handler pc. *)
 let apply_vtrap t cause ~tval =
-  let vcsr = t.vhart.Miralis.Vhart.csr in
-  Csr_file.write_raw vcsr Csr_addr.mepc t.pc0;
-  Csr_file.write_raw vcsr Csr_addr.mcause (Cause.to_xcause cause);
-  Csr_file.write_raw vcsr Csr_addr.mtval tval;
-  Csr_file.write_raw vcsr Csr_addr.mstatus
-    (Hart.Xfer_c.trap_entry_m
-       ~mstatus:(Csr_file.read_raw vcsr Csr_addr.mstatus)
-       ~from_priv:Priv.M);
-  tvec_target (Csr_file.read_raw vcsr Csr_addr.mtvec) cause
+  Miralis.Emulator.vtrap_entry t.vhart cause ~tval ~epc:t.pc0 ~mpp:Priv.M
 
 let compare_states t ~vpc ~vpriv ~vwfi instr =
   let hcsr = t.hart.Hart.csr and vcsr = t.vhart.Miralis.Vhart.csr in

@@ -151,10 +151,11 @@ let trap_m st ~pc0 ~exc ~tval =
       (X.trap_entry_m ~mstatus:(get st Csr_addr.mstatus) ~from_priv:Priv.M)
       st
   in
-  (* Exceptions always target the base; vectoring applies to
-     interrupts only. *)
-  let target = B.logand (get st Csr_addr.mtvec) (B.const (Int64.lognot 3L)) in
-  (st, target)
+  (* Exceptions target the base: {!Cause.tvec_target} only masks the
+     MODE bits off for them, so its value at all-ones is the mask to
+     apply to the symbolic mtvec. *)
+  let mask = Cause.tvec_target (-1L) (Cause.Exception exc) in
+  (st, B.logand (get st Csr_addr.mtvec) (B.const mask))
 
 let arch_read cfg st addr =
   if addr = Csr_addr.sstatus then
@@ -232,13 +233,6 @@ let write_forms =
     { op = Instr.Csrrc; rd = 5; src = Instr.Imm 9 };
   ]
 
-let write_needed (f : form) =
-  match (f.op, f.src) with
-  | Instr.Csrrw, _ -> true
-  | (Instr.Csrrs | Instr.Csrrc), Instr.Reg 0 -> false
-  | (Instr.Csrrs | Instr.Csrrc), Instr.Imm 0 -> false
-  | (Instr.Csrrs | Instr.Csrrc), _ -> true
-
 let op_name = function
   | Instr.Csrrw -> "csrrw"
   | Instr.Csrrs -> "csrrs"
@@ -287,7 +281,7 @@ let step_finish icx (f : form) st old =
    machine, executing at M — privilege and counter-enable checks pass
    and TVM applies only at S, exactly as in the concrete dispatch. *)
 let ref_csr icx st (f : form) addr =
-  let wn = write_needed f in
+  let wn = Instr.csr_writes f.op f.src in
   if wn && Csr_addr.is_read_only addr then step_trap icx st
   else if addr = Csr_addr.cycle then step_finish icx f st icx.cycles
   else if addr = Csr_addr.time then begin
@@ -316,7 +310,7 @@ let ref_csr icx st (f : form) addr =
    outcome is completed by the monitor's virtual-trap injection —
    the same M-mode entry transform. *)
 let emu_csr icx st (f : form) addr =
-  let wn = write_needed f in
+  let wn = Instr.csr_writes f.op f.src in
   if wn && Csr_addr.is_read_only addr then step_trap icx st
   else if addr = Csr_addr.mcycle || addr = Csr_addr.cycle then
     step_finish icx f st icx.cycles
@@ -633,7 +627,7 @@ let virtual_interrupt ?quick:_ ?inject_bug () =
   let order_emu =
     if has_bug config Miralis.Config.Interrupt_priority_swapped then
       Miralis.Emulator.intr_priority_buggy
-    else Miralis.Emulator.intr_priority
+    else Cause.priority
   in
   List.iter
     (fun world ->
@@ -652,8 +646,7 @@ let virtual_interrupt ?quick:_ ?inject_bug () =
                  to virtual injections; delegated ones are delivered
                  natively to the OS *)
               match
-                X.pending_interrupt ~order:Miralis.Emulator.intr_priority
-                  ~priv ~mstatus ~mip ~mie ~mideleg
+                X.pending_interrupt ~priv ~mstatus ~mip ~mie ~mideleg
               with
               | Some i
                 when not (B.decide (B.test mideleg (Cause.intr_code i))) ->

@@ -26,6 +26,19 @@ let run_to_completion ?(max_instrs = 2_000_000L) m =
 let qcheck_case ?(count = 500) name law gen =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen law)
 
+(* Run [f] on a fresh directory under the system temp dir, then delete
+   it and the files [f] left in it, so concurrent runs never share
+   files. *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_dir prefix "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
 (* cwd is the test directory under `dune runtest`, the project root
    under a bare `dune exec` *)
 let vectors_dir () =

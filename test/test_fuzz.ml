@@ -171,10 +171,7 @@ let test_checked_in_vectors_agree () =
 (* Malformed vectors of any family are rejected with a file:line
    diagnostic, never an exception, and nothing is replayed. *)
 let test_malformed_vectors_rejected () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "mir_fuzz_malformed"
-  in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Helpers.with_temp_dir "mir_fuzz_malformed" @@ fun dir ->
   List.iter
     (fun (name, text, line) ->
       let path = Filename.concat dir (name ^ ".jsonl") in
@@ -217,10 +214,7 @@ let test_malformed_vectors_rejected () =
 
 (* Corpus persistence: content-hash names, loadable, deduplicated. *)
 let test_corpus_dir_roundtrip () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "mir_fuzz_test" in
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat dir f))
-    (if Sys.file_exists dir then Sys.readdir dir else [||]);
+  Helpers.with_temp_dir "mir_fuzz_corpus" @@ fun dir ->
   let r = Fuzz.Fuzzer.run ~seed:11L ~max_execs:500 ~corpus_dir:dir () in
   (* mutation can rediscover an input with identical content (count
      bucketing makes it "interesting" again): files dedup by hash *)

@@ -251,21 +251,6 @@ let test_misaligned_load_traps () =
   in
   Helpers.check_i64 "load misaligned" 4L (result m)
 
-let test_misaligned_handled_in_hw () =
-  let config = { Machine.default_config with Machine.hw_misaligned = true } in
-  let m, _ =
-    Helpers.machine_with ~config
-      ([
-         li a0 (Int64.add ram_base 0x2000L);
-         li a1 0x1122334455667788L;
-         sd a1 0L a0;
-         ld a2 1L a0; (* misaligned, handled by hardware *)
-       ]
-      @ store_result a2 @ poweroff)
-  in
-  ignore (Helpers.run_to_completion m);
-  Helpers.check_i64 "hw misaligned" 0x0011223344556677L (result m)
-
 let test_time_csr_traps_without_counter () =
   (* default config: has_time_csr = false (like the VisionFive 2). *)
   let m =
@@ -438,8 +423,6 @@ let () =
           Alcotest.test_case "pmp denies U" `Quick test_pmp_denies_umode;
           Alcotest.test_case "misaligned traps" `Quick
             test_misaligned_load_traps;
-          Alcotest.test_case "misaligned in hw" `Quick
-            test_misaligned_handled_in_hw;
           Alcotest.test_case "time CSR traps" `Quick
             test_time_csr_traps_without_counter;
           Alcotest.test_case "time CSR reads" `Quick

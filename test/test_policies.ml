@@ -118,6 +118,41 @@ let test_sandbox_follows_mode () =
   | _ -> Alcotest.fail "a policy in Native mode was accepted"
   | exception Invalid_argument _ -> ()
 
+(* The sandbox emulates the OS's misaligned accesses itself, so the
+   firmware never handles them with the OS registers it scrubbed: a
+   misaligned store lands in both modes. Under Miralis the offload fast
+   path takes the load and the store first, as without a policy. *)
+let test_sandbox_emulates_misaligned () =
+  let run mode =
+    let sys, _ = create_sandboxed ~mode () in
+    Setup.run_scripts sys
+      [ Script.[ Misaligned_load; Misaligned_store; End ] ];
+    let addr =
+      Int64.add (Script.region_base ~hart:0)
+        (Int64.add Script.counter_scratch 1L)
+    in
+    let byte i =
+      Option.get
+        (Machine.phys_load sys.Setup.machine
+           (Int64.add addr (Int64.of_int i))
+           1)
+    in
+    let stored =
+      List.fold_left
+        (fun v i -> Int64.logor (Int64.shift_left v 8) (byte i))
+        0L [ 7; 6; 5; 4; 3; 2; 1; 0 ]
+    in
+    ( stored,
+      (Option.get (Setup.stats sys)).Miralis.Vfm_stats.offload_misaligned )
+  in
+  let stored, offloaded = run Setup.Virtualized_no_offload in
+  Helpers.check_i64 "store lands under no-offload" 0x0123456789ABCDEFL
+    stored;
+  Helpers.check_int "no-offload offloads nothing" 0 offloaded;
+  let stored, offloaded = run Setup.Virtualized in
+  Helpers.check_i64 "store lands under Miralis" 0x0123456789ABCDEFL stored;
+  Helpers.check_int "misaligned offloads under Miralis" 2 offloaded
+
 (* ------------------------------------------------------------------ *)
 (* Keystone                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -709,6 +744,8 @@ let () =
          test_sandbox_honest_firmware;
        Alcotest.test_case "sandbox: follows the execution mode" `Quick
          test_sandbox_follows_mode;
+       Alcotest.test_case "sandbox: emulates misaligned OS accesses" `Quick
+         test_sandbox_emulates_misaligned;
        Alcotest.test_case "sandbox: register scrubbing" `Quick
          test_sandbox_scrubs_registers;
      ]

@@ -185,16 +185,15 @@ let test_decisions () =
           (Xs.sret_target_priv m = Xc.sret_target_priv mc);
         List.iter
           (fun priv ->
-            let order = Miralis.Emulator.intr_priority in
             Alcotest.(check bool)
               "pending_interrupt" true
-              (Xs.pending_interrupt ~order ~priv ~mstatus:m ~mip ~mie ~mideleg
-              = Xc.pending_interrupt ~order ~priv ~mstatus:mc ~mip:mipc
-                  ~mie:miec ~mideleg:midelegc))
+              (Xs.pending_interrupt ~priv ~mstatus:m ~mip ~mie ~mideleg
+              = Xc.pending_interrupt ~priv ~mstatus:mc ~mip:mipc ~mie:miec
+                  ~mideleg:midelegc))
           [ Priv.M; Priv.S; Priv.U ];
         List.iter
           (fun world ->
-            let order = Miralis.Emulator.intr_priority in
+            let order = Mir_rv.Cause.priority in
             Alcotest.(check bool)
               "virtual_interrupt" true
               (ESs.virtual_interrupt ~order ~world ~mstatus:m ~mip ~mie

@@ -136,6 +136,14 @@ let test_inventory_covers_lib () =
             (List.mem_assoc d rows))
         [ "bin"; "bench"; "examples"; "test" ]
 
+(* Table 1 counts every monitor module: its total is the lib/core row
+   of the inventory. *)
+let test_table1_counts_core () =
+  Alcotest.(check (option int))
+    "Table 1 total = lib/core"
+    (List.assoc_opt "lib/core" (Mir_harness.Loc.repo_inventory ()))
+    (List.assoc_opt "Total" (Mir_harness.Loc.table1 ()))
+
 let () =
   Alcotest.run "util"
     [
@@ -163,5 +171,7 @@ let () =
         [
           Alcotest.test_case "inventory covers every lib/ directory" `Quick
             test_inventory_covers_lib;
+          Alcotest.test_case "table 1 counts every lib/core module" `Quick
+            test_table1_counts_core;
         ] );
     ]

@@ -220,6 +220,44 @@ let test_emulator_unsupported () =
   Alcotest.(check bool) "unsupported" true
     (out.Emulator.action = Emulator.Unsupported)
 
+(* The load/store decoder shared by the offload and the monitor's
+   device and MPRV emulation: the width gives the access size, the
+   signedness the extension into rd, and a fault leaves rd alone. *)
+let test_emulator_load_store () =
+  let hart = Hart.create Csr_spec.default_config ~id:0 in
+  let seen = ref [] in
+  let access v ~size ~write =
+    seen := (size, write) :: !seen;
+    v
+  in
+  let load width unsigned =
+    Instr.Load { width; unsigned; rd = 5; rs1 = 1; imm = 0L }
+  in
+  let run instr v = Emulator.load_store hart instr ~access:(access v) in
+  Alcotest.(check bool)
+    "lw" true
+    (run (load Instr.W false) (Ok 0xFFFFFFFFL) = Some (Ok ()));
+  Helpers.check_i64 "lw sign-extends" (-1L) (Hart.get hart 5);
+  ignore (run (load Instr.W true) (Ok 0xFFFFFFFFL));
+  Helpers.check_i64 "lwu zero-extends" 0xFFFFFFFFL (Hart.get hart 5);
+  ignore (run (load Instr.H false) (Ok 0x8000L));
+  Helpers.check_i64 "lh sign-extends" (-0x8000L) (Hart.get hart 5);
+  Alcotest.(check bool) "fault" true
+    (run (load Instr.D false) (Error 7) = Some (Error 7));
+  Helpers.check_i64 "fault leaves rd" (-0x8000L) (Hart.get hart 5);
+  Hart.set hart 6 0x1122334455667788L;
+  ignore
+    (run
+       (Instr.Store { width = Instr.B; rs2 = 6; rs1 = 1; imm = 0L })
+       (Ok 0L));
+  Alcotest.(check bool) "sizes and store value" true
+    (!seen
+    = [
+        (1, Some 0x1122334455667788L); (8, None); (2, None); (4, None);
+        (4, None);
+      ]);
+  Alcotest.(check bool) "not an access" true (run Instr.Fence (Ok 0L) = None)
+
 (* ------------------------------------------------------------------ *)
 (* Virtual CLINT                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -539,6 +577,8 @@ let () =
             test_emulator_mret_exits_when_mpp_s;
           Alcotest.test_case "MPRV tracking" `Quick test_emulator_mprv_tracking;
           Alcotest.test_case "unsupported" `Quick test_emulator_unsupported;
+          Alcotest.test_case "load/store decoder" `Quick
+            test_emulator_load_store;
         ] );
       ( "vclint",
         [
