@@ -1636,6 +1636,34 @@ let poll_devices t =
       else Plic.lower_irq t.plic (Nic.irq nic)
   | None -> ()
 
+(* Nothing can wake a hart any more: every live hart idles in wfi with
+   no pending-and-enabled interrupt, no comparator it enables is armed
+   (all-ones never fires), MSIP and the enabled PLIC lines are low, and
+   no deferred action or device event is outstanding. *)
+let quiescent t =
+  let asleep hart =
+    let csr = hart.Hart.csr and h = hart.Hart.id in
+    let mie = Csr_file.read_raw csr Csr_addr.mie in
+    let enabled bits = Int64.logand mie bits <> 0L in
+    let sstc =
+      t.config.csr_config.Csr_spec.has_sstc
+      && Bits.test (Csr_file.read_raw csr Csr_addr.menvcfg) 63
+    in
+    hart.Hart.wfi
+    && Int64.logand (Csr_file.read_raw csr Csr_addr.mip) mie = 0L
+    && (not (Clint.msip t.clint h))
+    && (not (enabled Csr_spec.Irq.mtip && Clint.mtimecmp t.clint h <> -1L))
+    && (not (enabled Csr_spec.Irq.meip && Plic.meip t.plic h))
+    && (not (enabled Csr_spec.Irq.seip && Plic.seip t.plic h))
+    && not
+         (sstc && enabled Csr_spec.Irq.stip
+         && Csr_file.read_raw csr Csr_addr.stimecmp <> -1L)
+  in
+  t.deferred == []
+  && (match t.blockdev with Some bd -> not (Blockdev.busy bd) | None -> true)
+  && (match t.nic with Some nic -> not (Nic.irq_line nic) | None -> true)
+  && Array.for_all (fun hart -> hart.Hart.halted || asleep hart) t.harts
+
 let run ?(max_instrs = Int64.max_int) ?(chunk = 32) t =
   let max_instrs =
     if max_instrs >= Int64.of_int max_int then max_int
@@ -1643,7 +1671,15 @@ let run ?(max_instrs = Int64.max_int) ?(chunk = 32) t =
   in
   let start = t.instr_count in
   let budget_left () = max_instrs - (t.instr_count - start) in
-  while (not t.poweroff) && (not (all_halted t)) && budget_left () > 0 do
+  (* Idle wfi quanta charge cycles but no budget, so a quiescent
+     machine would spin forever: stop after a round that retired
+     nothing once nothing can wake a hart. *)
+  let idle = ref false in
+  while
+    (not t.poweroff) && (not (all_halted t)) && budget_left () > 0
+    && not !idle
+  do
+    let retired = t.instr_count in
     Array.iter
       (fun hart ->
         let n = ref 0 in
@@ -1661,7 +1697,8 @@ let run ?(max_instrs = Int64.max_int) ?(chunk = 32) t =
       t.harts;
     sync_time t;
     poll_devices t;
-    match t.on_chunk with Some f -> f t | None -> ()
+    (match t.on_chunk with Some f -> f t | None -> ());
+    idle := t.instr_count = retired && quiescent t
   done;
   sync_time t
 

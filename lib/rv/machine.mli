@@ -159,8 +159,16 @@ val resume : Hart.t -> pc:int64 -> priv:Priv.t -> unit
 (** Redirect a hart (used by the VFM when returning from emulation). *)
 
 val run : ?max_instrs:int64 -> ?chunk:int -> t -> unit
-(** Run all harts round-robin until power-off, all harts halt, or the
-    instruction budget is exhausted. *)
+(** Run all harts round-robin until power-off, all harts halt, the
+    instruction budget is exhausted, or a round retires no instruction
+    and {!quiescent} holds after [on_chunk]. *)
+
+val quiescent : t -> bool
+(** No hart can wake again: every live hart is in wfi with
+    mip ∧ mie = 0, no comparator it enables is armed (mtimecmp under
+    MTIE; stimecmp under STIE when Sstc and menvcfg.STCE are on), its
+    MSIP and the PLIC lines it enables are low, the deferred queue is
+    empty, the block device is idle and the NIC's irq line is low. *)
 
 val run_scheduled : ?max_steps:int -> ?chunk:int -> pick:(t -> int) -> t -> unit
 (** Run under an external scheduler: [pick] chooses the hart for every

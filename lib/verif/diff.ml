@@ -102,7 +102,7 @@ let gen_sample t prng =
     msip = Prng.bool prng;
   }
 
-let apply_sample t sample =
+let stream_begin t sample =
   let hcsr = t.hart.Hart.csr and vcsr = t.vhart.Miralis.Vhart.csr in
   List.iter
     (fun (addr, v) ->
@@ -176,53 +176,6 @@ let compare_states t ~vpc ~vpriv ~vwfi instr =
             fail "%s: wfi differs (hw=%b vfm=%b)" istr t.hart.Hart.wfi vwfi
           else None)
 
-let check t sample instr =
-  apply_sample t sample;
-  (* The reference fetch at pc0 must be allowed by the sampled PMP. *)
-  if
-    not
-      (Pmp.check
-         ~entries:(Csr_file.pmp_entries t.hart.Hart.csr)
-         ~priv:Priv.M Pmp.Exec ~addr:t.pc0 ~size:4)
-  then Skip
-  else begin
-    let bits = Mir_rv.Encode.encode instr in
-    ignore (Machine.phys_store t.machine t.pc0 4 (Int64.of_int bits));
-    Machine.invalidate_icache t.machine t.pc0 4;
-    (* reference step *)
-    let pre_cycles = t.hart.Hart.cycles and pre_instret = t.hart.Hart.instret in
-    Machine.step t.machine t.hart;
-    (* virtual emulation *)
-    let ctx =
-      {
-        Miralis.Emulator.read_gpr = (fun i -> t.vregs.(i));
-        write_gpr = (fun i v -> if i <> 0 then t.vregs.(i) <- v);
-        pc = t.pc0;
-        cycles = Int64.of_int (pre_cycles + 1);
-        instret = Int64.of_int (pre_instret + 1);
-        phys_custom_read = (fun _ -> 0L);
-        phys_custom_write = (fun _ _ -> ());
-      }
-    in
-    let out = Miralis.Emulator.emulate t.config t.vhart ctx ~bits instr in
-    let vpc, vpriv, vwfi =
-      match out.Miralis.Emulator.action with
-      | Miralis.Emulator.Next -> (Int64.add t.pc0 4L, Priv.M, false)
-      | Miralis.Emulator.Jump pc -> (pc, Priv.M, false)
-      | Miralis.Emulator.Exit_to_os { pc; priv } -> (pc, priv, false)
-      | Miralis.Emulator.Vtrap (e, tval) ->
-          (apply_vtrap t (Cause.Exception e) ~tval, Priv.M, false)
-      | Miralis.Emulator.Wfi -> (Int64.add t.pc0 4L, Priv.M, true)
-      | Miralis.Emulator.Unsupported -> (0L, Priv.M, false)
-    in
-    if out.Miralis.Emulator.action = Miralis.Emulator.Unsupported then
-      Disagree (Instr.to_string instr ^ ": emulator reports Unsupported")
-    else
-      match compare_states t ~vpc ~vpriv ~vwfi instr with
-      | None -> Agree
-      | Some msg -> Disagree msg
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Stream execution (the fuzzer's engine)                              *)
 (* ------------------------------------------------------------------ *)
@@ -265,7 +218,7 @@ let outcome_cause = function
   | O_next | O_jump | O_exit_os | O_wfi | O_skip -> 0
 
 (* Drive the timer/software/external interrupt lines mid-stream,
-   exactly as [apply_sample] does initially: the CLINT and PLIC device
+   exactly as [stream_begin] does initially: the CLINT and PLIC device
    state and both raw mip copies stay consistent, so the reference
    machine's own line refresh recomputes the same values. *)
 let set_lines t ~mtip ~msip ~meip =
@@ -311,8 +264,6 @@ let rearm t =
      write to it lives exactly to the end of its own step. *)
   Csr_file.set_mip_bits t.hart.Hart.csr Csr_spec.Irq.seip false;
   Csr_file.set_mip_bits t.vhart.Miralis.Vhart.csr Csr_spec.Irq.seip false
-
-let stream_begin t sample = apply_sample t sample
 
 let compare_digests t ~vpc ~vpriv ~vwfi instr =
   if ref_digest t = vfm_digest t ~vpc ~vpriv ~vwfi then Agree
@@ -411,45 +362,3 @@ let stream_step t instr =
           }
         else { verdict = compare_digests t ~vpc ~vpriv ~vwfi instr; outcome }
       end)
-
-let check_interrupt_case t ~mip ~mie ~mstatus_mie ~world =
-  let hcsr = t.hart.Hart.csr and vcsr = t.vhart.Miralis.Vhart.csr in
-  (* Prime both sides. The reference runs at the privilege the world
-     implies: M for vM-mode (gated by mstatus.MIE), S for the OS
-     (M-level interrupts always enabled). *)
-  Csr_file.write_raw hcsr Csr_addr.mip mip;
-  Csr_file.write_raw vcsr Csr_addr.mip mip;
-  Csr_file.write_raw hcsr Csr_addr.mie mie;
-  Csr_file.write_raw vcsr Csr_addr.mie mie;
-  let videleg = Csr_file.read_raw vcsr Csr_addr.mideleg in
-  Csr_file.write_raw hcsr Csr_addr.mideleg videleg;
-  let m = Csr_file.read_raw hcsr Csr_addr.mstatus in
-  let m = Bits.write m Ms.mie mstatus_mie in
-  (* keep S-level interrupts globally off on the reference so only the
-     M-level (non-delegated) selection is compared *)
-  let m = Bits.clear m Ms.sie in
-  Csr_file.write_raw hcsr Csr_addr.mstatus m;
-  Csr_file.write_raw vcsr Csr_addr.mstatus m;
-  t.hart.Hart.priv <-
-    (match world with Miralis.Vhart.Firmware -> Priv.M | Miralis.Vhart.Os -> Priv.S);
-  t.vhart.Miralis.Vhart.world <- world;
-  let reference =
-    match Machine.pending_interrupt t.machine t.hart with
-    | Some i when not (Bits.test videleg (Cause.intr_code i)) -> Some i
-    | Some _ | None -> None
-    (* delegated interrupts are delivered natively, not injected *)
-  in
-  let vfm = Miralis.Emulator.check_virtual_interrupt t.config t.vhart in
-  if reference = vfm then Agree
-  else
-    Disagree
-      (Printf.sprintf
-         "interrupt: mip=%Lx mie=%Lx MIE=%b world=%s: hw=%s vfm=%s" mip mie
-         mstatus_mie
-         (Miralis.Vhart.world_name world)
-         (match reference with
-         | Some i -> Cause.to_string (Cause.Interrupt i)
-         | None -> "none")
-         (match vfm with
-         | Some i -> Cause.to_string (Cause.Interrupt i)
-         | None -> "none"))

@@ -9,10 +9,11 @@
     with traps compared through the common hardware trap-entry
     transform.
 
-    This is the OCaml analogue of the paper's Kani setup: instead of
-    symbolic execution over all states, we do bounded-exhaustive
-    enumeration over the instruction space crossed with adversarial
-    state samples (boundary patterns plus seeded-random values). *)
+    Every check runs through {!stream_step}: the isa fuzz family
+    steps whole instruction streams, and the sampled wfi and
+    end-to-end rows of Table 2 ({!Tasks}) step one instruction per
+    sampled state (boundary patterns plus seeded-random values). The
+    rows the symbolic prover covers ({!Prove}) are not sampled. *)
 
 type t
 
@@ -34,19 +35,11 @@ val gen_sample : t -> Mir_util.Prng.t -> sample
     so the reference machine executes the instruction rather than
     taking an interrupt. *)
 
-(** Result of checking one (state, instruction) pair. *)
+(** Result of one stream step. *)
 type verdict =
   | Agree
   | Skip  (** the sampled PMP forbids the reference fetch *)
   | Disagree of string
-
-val check : t -> sample -> Mir_rv.Instr.t -> verdict
-
-val check_interrupt_case :
-  t -> mip:int64 -> mie:int64 -> mstatus_mie:bool ->
-  world:Miralis.Vhart.world -> verdict
-(** Compare the virtual-interrupt injection decision against the
-    reference machine's M-level interrupt selection. *)
 
 (** {2 Stream execution — the fuzzer's engine}
 

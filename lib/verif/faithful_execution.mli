@@ -19,4 +19,6 @@
 
 val run :
   ?configs:int -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
-  Tasks.report
+  int * int * int * string option
+(** (cases, skipped, mismatches, first counterexample) over [configs]
+    sampled configurations; nothing is skipped. *)

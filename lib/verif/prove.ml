@@ -1,6 +1,6 @@
 (* The symbolic faithful-emulation prover.
 
-   Where {!Tasks} samples the state space, this module covers it: the
+   Where {!Diff} samples the state space, this module covers it: the
    privileged semantics are functorized over an abstract bitvector
    domain ({!Mir_util.Bits_sig.S}), so the very transforms the monitor
    runs concretely can be re-executed at the symbolic backend
@@ -615,11 +615,10 @@ let sret ?quick:_ ?inject_bug () =
     ()
 
 (* The virtual-interrupt injection decision against the reference
-   take-an-interrupt decision, mirroring the sampled harness's
-   scenario: SIE is held clear, the hart privilege matches the world
-   (vM-mode firmware runs at M once re-entered; the OS at S), and an
-   interrupt the physical machine would deliver to M-mode must be the
-   one the monitor injects. *)
+   take-an-interrupt decision: SIE is held clear, the hart privilege
+   matches the world (vM-mode firmware runs at M once re-entered; the
+   OS at S), and an interrupt the physical machine would deliver to
+   M-mode must be the one the monitor injects. *)
 let virtual_interrupt ?quick:_ ?inject_bug () =
   let t0 = Sys.time () in
   let config, cfg, _pc0 = make_config ?inject_bug () in

@@ -1,9 +1,11 @@
 module Prng = Mir_util.Prng
 module Instr = Mir_rv.Instr
-module Csr_spec = Mir_rv.Csr_spec
+
+type method_ = Symbolic | Sampled
 
 type report = {
   name : string;
+  method_ : method_;
   cases : int;
   skipped : int;
   mismatches : int;
@@ -11,18 +13,33 @@ type report = {
   seconds : float;
 }
 
+let passed r = r.mismatches = 0 && (r.method_ = Sampled || r.skipped = 0)
+
+let method_label r =
+  match r.method_ with
+  | Sampled -> "sampled"
+  | Symbolic -> if passed r then "proved" else "UNPROVED"
+
 let pp_report fmt r =
-  Format.fprintf fmt "%-22s %8d cases %6d skipped %4d mismatches %8.2fs%s"
-    r.name r.cases r.skipped r.mismatches r.seconds
+  let cases, skipped =
+    match r.method_ with
+    | Symbolic -> ("paths", "unexplored")
+    | Sampled -> ("cases", "skipped")
+  in
+  Format.fprintf fmt "%-22s %-8s %8d %s %6d %-10s %4d mismatches %8.2fs%s"
+    r.name (method_label r) r.cases cases r.skipped skipped r.mismatches
+    r.seconds
     (match r.first_counterexample with
     | Some c -> "\n    first: " ^ c
     | None -> "")
 
-let timed name f =
+(* A sampled row: [f] returns (cases, skipped, mismatches, first). *)
+let sampled name f =
   let t0 = Sys.time () in
   let cases, skipped, mismatches, first = f () in
   {
     name;
+    method_ = Sampled;
     cases;
     skipped;
     mismatches;
@@ -30,9 +47,21 @@ let timed name f =
     seconds = Sys.time () -. t0;
   }
 
-(* Run [instrs] against [samples] fresh state samples each. *)
+let proved name (p : Prove.report) =
+  {
+    name;
+    method_ = Symbolic;
+    cases = p.Prove.paths;
+    skipped = p.Prove.unexplored;
+    mismatches = p.Prove.mismatches;
+    first_counterexample = p.Prove.first_counterexample;
+    seconds = p.Prove.seconds;
+  }
+
+(* Run [instrs] against [samples] fresh state samples each; every case
+   is a one-step stream of the isa fuzz family's engine. *)
 let sweep ?inject_bug ?seed ~name ~samples instrs =
-  timed name (fun () ->
+  sampled name (fun () ->
       let d = Diff.create ?inject_bug ?seed () in
       (* one deterministic stream per task, split off the config seed *)
       let prng = Miralis.Config.prng (Diff.config d) ("verif:" ^ name) in
@@ -43,7 +72,8 @@ let sweep ?inject_bug ?seed ~name ~samples instrs =
         List.iter
           (fun instr ->
             incr cases;
-            match Diff.check d sample instr with
+            Diff.stream_begin d sample;
+            match (Diff.stream_step d instr).Diff.verdict with
             | Diff.Agree -> ()
             | Diff.Skip -> incr skipped
             | Diff.Disagree msg ->
@@ -53,63 +83,12 @@ let sweep ?inject_bug ?seed ~name ~samples instrs =
       done;
       (!cases, !skipped, !bad, !first))
 
-let mret_instr = Instr.Mret
-let sret_instr = Instr.Sret
-
-let mret ?(samples = 3000) ?inject_bug ?seed () =
-  sweep ?inject_bug ?seed ~name:"mret instruction" ~samples [ mret_instr ]
-
-let sret ?(samples = 3000) ?inject_bug ?seed () =
-  sweep ?inject_bug ?seed ~name:"sret instruction" ~samples [ sret_instr ]
-
-let wfi ?(samples = 3000) ?inject_bug ?seed () =
+let wfi ~samples ?inject_bug ?seed () =
   sweep ?inject_bug ?seed ~name:"wfi instruction" ~samples
     [ Instr.Wfi; Instr.Sfence_vma (0, 0); Instr.Ecall; Instr.Ebreak ]
 
-(* The CSR tasks sweep the *entire* 12-bit CSR address space —
-   implemented CSRs must match the reference bit-for-bit and
-   unimplemented ones must fault identically on both sides. This is
-   what caught the vPMP overrun bug (an out-of-range pmpaddr index the
-   emulator accepted). *)
-let csr_probe_addrs _config = List.init 4096 Fun.id
-
-let read_forms csr =
-  [
-    Instr.Csr { op = Instr.Csrrs; rd = 11; src = Instr.Reg 0; csr };
-    Instr.Csr { op = Instr.Csrrc; rd = 12; src = Instr.Reg 0; csr };
-    Instr.Csr { op = Instr.Csrrs; rd = 13; src = Instr.Imm 0; csr };
-    Instr.Csr { op = Instr.Csrrc; rd = 0; src = Instr.Imm 0; csr };
-  ]
-
-let write_forms csr =
-  [
-    Instr.Csr { op = Instr.Csrrw; rd = 11; src = Instr.Reg 5; csr };
-    Instr.Csr { op = Instr.Csrrw; rd = 0; src = Instr.Reg 6; csr };
-    Instr.Csr { op = Instr.Csrrs; rd = 12; src = Instr.Reg 7; csr };
-    Instr.Csr { op = Instr.Csrrc; rd = 13; src = Instr.Reg 28; csr };
-    Instr.Csr { op = Instr.Csrrw; rd = 14; src = Instr.Imm 31; csr };
-    Instr.Csr { op = Instr.Csrrs; rd = 15; src = Instr.Imm 21; csr };
-    Instr.Csr { op = Instr.Csrrc; rd = 5; src = Instr.Imm 9; csr };
-  ]
-
-let csr_read ?(samples = 40) ?inject_bug ?seed () =
-  let d = Diff.create ?inject_bug ?seed () in
-  let addrs =
-    csr_probe_addrs (Diff.config d).Miralis.Config.vcsr_config
-  in
-  sweep ?inject_bug ?seed ~name:"CSR read" ~samples
-    (List.concat_map read_forms addrs)
-
-let csr_write ?(samples = 60) ?inject_bug ?seed () =
-  let d = Diff.create ?inject_bug ?seed () in
-  let addrs =
-    csr_probe_addrs (Diff.config d).Miralis.Config.vcsr_config
-  in
-  sweep ?inject_bug ?seed ~name:"CSR write" ~samples
-    (List.concat_map write_forms addrs)
-
-let decoder ?(words = 400_000) ?seed () =
-  timed "instruction decoder" (fun () ->
+let decoder ~words ?seed () =
+  sampled "instruction decoder" (fun () ->
       let prng =
         Miralis.Config.derive
           (Option.value seed ~default:Miralis.Config.default_seed)
@@ -169,67 +148,39 @@ let decoder ?(words = 400_000) ?seed () =
       done;
       (!cases, 0, !bad, !first))
 
-let virtual_interrupt ?inject_bug () =
-  timed "virtual interrupt" (fun () ->
-      let d = Diff.create ?inject_bug () in
-      let cases = ref 0 and bad = ref 0 in
-      let first = ref None in
-      (* All combinations of the six standard bits in mip and mie. *)
-      let expand bits =
-        List.fold_left
-          (fun acc (i, bit) ->
-            if bits land (1 lsl i) <> 0 then Int64.logor acc bit else acc)
-          0L
-          [
-            (0, Csr_spec.Irq.ssip); (1, Csr_spec.Irq.msip);
-            (2, Csr_spec.Irq.stip); (3, Csr_spec.Irq.mtip);
-            (4, Csr_spec.Irq.seip); (5, Csr_spec.Irq.meip);
-          ]
-      in
-      for mip_bits = 0 to 63 do
-        for mie_bits = 0 to 63 do
-          List.iter
-            (fun (mstatus_mie, world) ->
-              incr cases;
-              match
-                Diff.check_interrupt_case d ~mip:(expand mip_bits)
-                  ~mie:(expand mie_bits) ~mstatus_mie ~world
-              with
-              | Diff.Agree | Diff.Skip -> ()
-              | Diff.Disagree msg ->
-                  incr bad;
-                  if !first = None then first := Some msg)
-            [
-              (true, Miralis.Vhart.Firmware);
-              (false, Miralis.Vhart.Firmware);
-              (true, Miralis.Vhart.Os);
-              (false, Miralis.Vhart.Os);
-            ]
-        done
-      done;
-      (!cases, 0, !bad, !first))
+(* The four read forms, then the seven write forms, of one CSR. *)
+let csr_forms csr =
+  List.map
+    (fun (op, rd, src) -> Instr.Csr { op; rd; src; csr })
+    Instr.
+      [
+        (Csrrs, 11, Reg 0); (Csrrc, 12, Reg 0); (Csrrs, 13, Imm 0);
+        (Csrrc, 0, Imm 0); (Csrrw, 11, Reg 5); (Csrrw, 0, Reg 6);
+        (Csrrs, 12, Reg 7); (Csrrc, 13, Reg 28); (Csrrw, 14, Imm 31);
+        (Csrrs, 15, Imm 21); (Csrrc, 5, Imm 9);
+      ]
 
-let end_to_end ?(samples = 25) ?inject_bug ?seed () =
-  let d = Diff.create ?inject_bug ?seed () in
-  let addrs =
-    csr_probe_addrs (Diff.config d).Miralis.Config.vcsr_config
-  in
-  let instrs =
-    List.concat_map (fun a -> read_forms a @ write_forms a) addrs
+(* The prover mirrors the CSR dispatch ([Prove.ref_csr]/[emu_csr]);
+   this row samples the real one at every 12-bit CSR address, so
+   implemented CSRs must match bit for bit and unimplemented ones must
+   fault identically on both sides. *)
+let end_to_end ~samples ?inject_bug ?seed () =
+  sweep ?inject_bug ?seed ~name:"end-to-end emulation" ~samples
+    (List.concat_map csr_forms (List.init 4096 Fun.id)
     @ [ Instr.Mret; Instr.Sret; Instr.Wfi; Instr.Sfence_vma (5, 6);
-        Instr.Ecall; Instr.Ebreak ]
-  in
-  sweep ?inject_bug ?seed ~name:"end-to-end emulation" ~samples instrs
+        Instr.Ecall; Instr.Ebreak ])
 
-let all ?(quick = false) ?seed () =
+let all ?(quick = false) ?inject_bug ?seed () =
   let s n = if quick then max 1 (n / 10) else n in
   [
-    mret ~samples:(s 3000) ?seed ();
-    sret ~samples:(s 3000) ?seed ();
-    wfi ~samples:(s 3000) ?seed ();
+    proved "mret instruction" (Prove.mret ~quick ?inject_bug ());
+    proved "sret instruction" (Prove.sret ~quick ?inject_bug ());
+    wfi ~samples:(s 3000) ?inject_bug ?seed ();
     decoder ~words:(s 400_000) ?seed ();
-    csr_read ~samples:(s 40) ?seed ();
-    csr_write ~samples:(s 60) ?seed ();
-    virtual_interrupt ();
-    end_to_end ~samples:(s 25) ?seed ();
+    proved "CSR read" (Prove.csr_read ~quick ?inject_bug ());
+    proved "CSR write" (Prove.csr_write ~quick ?inject_bug ());
+    proved "virtual interrupt" (Prove.virtual_interrupt ~quick ?inject_bug ());
+    end_to_end ~samples:(s 25) ?inject_bug ?seed ();
+    sampled "PMP faithful execution" (fun () ->
+        Faithful_execution.run ~configs:(s 400) ?inject_bug ?seed ());
   ]

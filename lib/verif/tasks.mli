@@ -1,60 +1,40 @@
-(** Named verification tasks (the rows of the paper's Table 2).
+(** The verification tasks: the rows of the paper's Table 2.
 
-    Each task exhaustively enumerates an instruction subspace crossed
-    with adversarial state samples and reports case counts, wall-clock
-    time, and the first counterexample if the implementation diverges
-    from the reference. *)
+    Each row is checked by exactly one engine. The rows the symbolic
+    prover reaches ({!Prove}: mret, sret, CSR read, CSR write, virtual
+    interrupt) are proved over all states. The others are sampled:
+    wfi/fence/ecall/ebreak and end-to-end emulation run the isa fuzz
+    family's stream engine ({!Diff.stream_step}) over seeded
+    adversarial states, the decoder is round-tripped and fed random
+    words, and PMP faithful execution samples vPMP configurations
+    ({!Faithful_execution}). *)
+
+type method_ =
+  | Symbolic  (** every path explored by {!Prove} *)
+  | Sampled  (** seeded state samples *)
 
 type report = {
   name : string;
-  cases : int;
+  method_ : method_;
+  cases : int;  (** sampled cases, or explored symbolic paths *)
   skipped : int;
+      (** sampled cases the PMP blocked, or unexplored symbolic paths *)
   mismatches : int;
   first_counterexample : string option;
   seconds : float;
 }
 
+val passed : report -> bool
+(** No mismatch, and a proof left no path unexplored. *)
+
+val method_label : report -> string
+(** ["proved"], ["UNPROVED"] or ["sampled"]: Table 2's Method column. *)
+
 val pp_report : Format.formatter -> report -> unit
 
-val timed : string -> (unit -> int * int * int * string option) -> report
-(** Wrap a task body returning (cases, skipped, mismatches, first). *)
-
-val mret :
-  ?samples:int -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
-  report
-
-val sret :
-  ?samples:int -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
-  report
-
-val wfi :
-  ?samples:int -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
-  report
-
-val decoder : ?words:int -> ?seed:int64 -> unit -> report
-(** Round-trip and totality over the privileged encoding space. *)
-
-val csr_read :
-  ?samples:int -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
-  report
-(** Every implemented CSR (plus unimplemented probes) × read forms. *)
-
-val csr_write :
-  ?samples:int -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
-  report
-(** Every implemented CSR × csrrw/csrrs/csrrc × register and immediate
-    forms — the long pole, as in the paper. *)
-
-val virtual_interrupt :
-  ?inject_bug:Miralis.Config.bug -> unit -> report
-(** Exhaustive over the 6 standard interrupt bits of mip × mie ×
-    mstatus.MIE × world. *)
-
-val end_to_end :
-  ?samples:int -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
-  report
-(** The full privileged instruction space. *)
-
-val all : ?quick:bool -> ?seed:int64 -> unit -> report list
-(** Every task, in Table 2 order. [quick] shrinks sample counts for
-    use in the test suite. *)
+val all :
+  ?quick:bool -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
+  report list
+(** Every row, in Table 2 order. [quick] divides the sample counts by
+    ten and restricts the CSR proofs to the implemented addresses plus
+    the interesting unimplemented corners. *)

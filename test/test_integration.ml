@@ -190,6 +190,33 @@ let test_qemu_virt_no_traps () =
   Alcotest.(check int) "no time-read offloads" 0
     stats.Miralis.Vfm_stats.offload_time_read
 
+let test_quiescent_run_returns () =
+  (* Two harts parked in S-mode wfi with nothing armed to wake them:
+     idle wfi quanta charge cycles but no budget, so [run] must notice
+     quiescence and return instead of spinning. The round guard turns
+     a hang into a failure. *)
+  let p =
+    { vf2 with Platform.machine = { vf2.Platform.machine with Machine.nharts = 2 } }
+  in
+  let sys = Setup.create p Setup.Virtualized in
+  let m = sys.Setup.machine in
+  let rounds = ref 0 in
+  m.Machine.on_chunk <-
+    Some
+      (fun _ ->
+        incr rounds;
+        if !rounds > 10_000 then failwith "run did not return when quiescent");
+  Setup.run_scripts ~max_instrs:100_000L sys [ [ Script.Halt ]; [ Script.Halt ] ];
+  Alcotest.(check bool) "quiescent" true (Machine.quiescent m);
+  Alcotest.(check bool) "no power-off" false m.Machine.poweroff;
+  Alcotest.(check bool)
+    "stopped before the budget" true
+    (m.Machine.instr_count < 100_000);
+  Array.iter
+    (fun h ->
+      Alcotest.(check bool) "hart idles in wfi" true h.Mir_rv.Hart.wfi)
+    m.Machine.harts
+
 let () =
   Alcotest.run "integration"
     [
@@ -208,5 +235,7 @@ let () =
             test_qemu_virt_no_traps;
           Alcotest.test_case "paging differential" `Quick
             test_paging_differential;
+          Alcotest.test_case "quiescent run returns" `Quick
+            test_quiescent_run_returns;
         ] );
     ]
