@@ -191,16 +191,10 @@ let run_cmd platform mode fw policy max_instrs trace record_file replay_file
             Some replay
       end
   in
-  let m = sys.Setup.machine in
-  let start = m.Machine.instr_count in
   Setup.run_scripts ~max_instrs sys [ smoke_script ];
-  (* the one way [run] stops short of power-off, halt or the budget *)
-  if
-    (not (m.Machine.poweroff || Machine.all_halted m))
-    && Int64.of_int (m.Machine.instr_count - start) < max_instrs
-  then
+  if Machine.quiescent sys.Setup.machine then
     print_endline
-      "run: stopped early: every live hart idles in wfi and nothing can wake it";
+      "run: stopped: every live hart idles in wfi and nothing can wake it";
   Printf.printf "console: %s" (Setup.uart_output sys);
   Printf.printf "simulated: %.3f ms on %s (%s)\n"
     (Setup.seconds sys *. 1e3)

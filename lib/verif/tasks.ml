@@ -179,7 +179,8 @@ let all ?(quick = false) ?inject_bug ?seed () =
     decoder ~words:(s 400_000) ?seed ();
     proved "CSR read" (Prove.csr_read ~quick ?inject_bug ());
     proved "CSR write" (Prove.csr_write ~quick ?inject_bug ());
-    proved "virtual interrupt" (Prove.virtual_interrupt ~quick ?inject_bug ());
+    proved "virtual interrupt"
+      (Prove.virtual_interrupt ~quick ?inject_bug ());
     end_to_end ~samples:(s 25) ?inject_bug ?seed ();
     sampled "PMP faithful execution" (fun () ->
         Faithful_execution.run ~configs:(s 400) ?inject_bug ?seed ());

@@ -32,6 +32,23 @@ val method_label : report -> string
 
 val pp_report : Format.formatter -> report -> unit
 
+(** The sampled rows, each over its own seeded stream. *)
+
+val wfi :
+  samples:int -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
+  report
+(** wfi, sfence.vma, ecall and ebreak, each against [samples] states. *)
+
+val decoder : words:int -> ?seed:int64 -> unit -> report
+(** Round-trip over the privileged encoding space, then totality over
+    [words] random words. *)
+
+val end_to_end :
+  samples:int -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
+  report
+(** The real CSR dispatch at all 4,096 addresses, plus the other
+    privileged instructions, each against [samples] states. *)
+
 val all :
   ?quick:bool -> ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit ->
   report list

@@ -196,7 +196,10 @@ let test_quiescent_run_returns () =
      quiescence and return instead of spinning. The round guard turns
      a hang into a failure. *)
   let p =
-    { vf2 with Platform.machine = { vf2.Platform.machine with Machine.nharts = 2 } }
+    {
+      vf2 with
+      Platform.machine = { vf2.Platform.machine with Machine.nharts = 2 };
+    }
   in
   let sys = Setup.create p Setup.Virtualized in
   let m = sys.Setup.machine in
@@ -206,7 +209,8 @@ let test_quiescent_run_returns () =
       (fun _ ->
         incr rounds;
         if !rounds > 10_000 then failwith "run did not return when quiescent");
-  Setup.run_scripts ~max_instrs:100_000L sys [ [ Script.Halt ]; [ Script.Halt ] ];
+  Setup.run_scripts ~max_instrs:100_000L sys
+    [ [ Script.Halt ]; [ Script.Halt ] ];
   Alcotest.(check bool) "quiescent" true (Machine.quiescent m);
   Alcotest.(check bool) "no power-off" false m.Machine.poweroff;
   Alcotest.(check bool)
@@ -216,6 +220,15 @@ let test_quiescent_run_returns () =
     (fun h ->
       Alcotest.(check bool) "hart idles in wfi" true h.Mir_rv.Hart.wfi)
     m.Machine.harts
+
+(* A run that powers off is not quiescent, so [run] prints no
+   quiescence line for it. *)
+let test_finished_run_not_quiescent () =
+  let sys = Setup.create vf2 Setup.Virtualized in
+  Setup.run_scripts sys [ [ Script.End ] ];
+  let m = sys.Setup.machine in
+  Alcotest.(check bool) "powered off" true m.Machine.poweroff;
+  Alcotest.(check bool) "not quiescent" false (Machine.quiescent m)
 
 let () =
   Alcotest.run "integration"
@@ -237,5 +250,7 @@ let () =
             test_paging_differential;
           Alcotest.test_case "quiescent run returns" `Quick
             test_quiescent_run_returns;
+          Alcotest.test_case "finished run not quiescent" `Quick
+            test_finished_run_not_quiescent;
         ] );
     ]

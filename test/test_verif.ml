@@ -7,28 +7,19 @@ module Tasks = Mir_verif.Tasks
 module Prove = Mir_verif.Prove
 module Config = Miralis.Config
 
-(* Every row of the quick Table 2 run, computed once. *)
-let quick = lazy (Tasks.all ~quick:true ())
-
-let row name = List.find (fun r -> r.Tasks.name = name) (Lazy.force quick)
+(* A proof explored every path and none diverged. *)
+let proved r =
+  Alcotest.(check bool) (r.Prove.name ^ " proved") true (Prove.proved r);
+  Alcotest.(check bool)
+    (r.Prove.name ^ " explored paths")
+    true (r.Prove.paths > 0)
 
 (* A sampled row ran cases and found no mismatch. *)
-let clean name =
-  let r = row name in
+let clean r =
+  Alcotest.(check int) (r.Tasks.name ^ " clean") 0 r.Tasks.mismatches;
   Alcotest.(check bool)
-    (name ^ " sampled") true
-    (r.Tasks.method_ = Tasks.Sampled);
-  Alcotest.(check int) (name ^ " clean") 0 r.Tasks.mismatches;
-  Alcotest.(check bool) (name ^ " ran cases") true (r.Tasks.cases > 0)
-
-(* A proof row explored every path and none diverged. *)
-let proved name =
-  let r = row name in
-  Alcotest.(check bool)
-    (name ^ " symbolic") true
-    (r.Tasks.method_ = Tasks.Symbolic);
-  Alcotest.(check bool) (name ^ " proved") true (Tasks.passed r);
-  Alcotest.(check bool) (name ^ " explored paths") true (r.Tasks.cases > 0)
+    (r.Tasks.name ^ " ran cases")
+    true (r.Tasks.cases > 0)
 
 (* An injected bug must surface as a refuted path carrying a concrete
    counterexample state. *)
@@ -40,19 +31,27 @@ let refuted r =
     (r.Prove.name ^ " names a counterexample")
     true (r.Prove.first_counterexample <> None)
 
-let test_mret_clean () = proved "mret instruction"
-let test_sret_clean () = proved "sret instruction"
-let test_wfi_clean () = clean "wfi instruction"
-let test_decoder_clean () = clean "instruction decoder"
-let test_csr_read_clean () = proved "CSR read"
-let test_csr_write_clean () = proved "CSR write"
-let test_virtual_interrupt_clean () = proved "virtual interrupt"
-let test_end_to_end_clean () = clean "end-to-end emulation"
-let test_pmp_clean () = clean "PMP faithful execution"
+let test_mret_clean () = proved (Prove.mret ~quick:true ())
+let test_sret_clean () = proved (Prove.sret ~quick:true ())
+let test_wfi_clean () = clean (Tasks.wfi ~samples:400 ())
+let test_decoder_clean () = clean (Tasks.decoder ~words:50_000 ())
+let test_csr_read_clean () = proved (Prove.csr_read ~quick:true ())
+let test_csr_write_clean () = proved (Prove.csr_write ~quick:true ())
+let test_virtual_interrupt_clean () =
+  proved (Prove.virtual_interrupt ~quick:true ())
+let test_end_to_end_clean () = clean (Tasks.end_to_end ~samples:4 ())
+
+let test_pmp_clean () =
+  let cases, _, mismatches, _ =
+    Mir_verif.Faithful_execution.run ~configs:60 ()
+  in
+  Alcotest.(check int) "PMP faithful execution clean" 0 mismatches;
+  Alcotest.(check bool) "PMP faithful execution ran cases" true (cases > 0)
 
 (* Each §6.5 bug class must be refuted by the proof of its row. *)
 let test_bug_mpp () =
-  refuted (Prove.csr_write ~quick:true ~inject_bug:Config.Mpp_not_legalized ())
+  refuted
+    (Prove.csr_write ~quick:true ~inject_bug:Config.Mpp_not_legalized ())
 
 let test_bug_pmp_wr () =
   refuted (Prove.csr_write ~quick:true ~inject_bug:Config.Pmp_w_without_r ())
