@@ -3,11 +3,11 @@
    violation into a shrunk, replayable schedule artifact.
 
    One explorer run = one scheduler + one fresh scenario instance.
-   The pick function recording the schedule remaps picks of halted
-   harts deterministically (next runnable, wrapping), records the
-   switch, checks the oracles, and only then lets the scenario's
-   switch action run — so a replayed schedule re-checks the oracles at
-   exactly the same machine states and reproduces the same verdict. *)
+   The pick function recording the schedule reduces picks modulo the
+   hart count, records the switch, checks the oracles, and only then
+   lets the scenario's switch action run — so a replayed schedule
+   re-checks the oracles at exactly the same machine states and
+   reproduces the same verdict. *)
 
 module Machine = Mir_rv.Machine
 module Hart = Mir_rv.Hart
@@ -37,13 +37,7 @@ let run_once (inst : Scenario.instance) ~(sched : Sched.t) ?max_steps () =
   let violation = ref None in
   let pick m =
     let h0 = sched.Sched.pick m ~step:!step ~last:!last in
-    let h = ref (((h0 mod nharts) + nharts) mod nharts) in
-    let tries = ref 0 in
-    while !tries < nharts && m.Machine.harts.(!h).Hart.halted do
-      h := (!h + 1) mod nharts;
-      incr tries
-    done;
-    let h = !h in
+    let h = ((h0 mod nharts) + nharts) mod nharts in
     if h <> !last then begin
       if !last >= 0 && m.Machine.harts.(!last).Hart.just_trapped then
         incr trap_points;
@@ -60,8 +54,7 @@ let run_once (inst : Scenario.instance) ~(sched : Sched.t) ?max_steps () =
     last := h;
     h
   in
-  (try Machine.run_scheduled m ~max_steps ~chunk:(32 * nharts) ~pick
-   with Stop -> ());
+  (try Machine.run_scheduled m ~max_steps ~pick with Stop -> ());
   {
     violation = !violation;
     steps = !step;

@@ -11,9 +11,9 @@ type outcome = {
 
 val run_once :
   Scenario.instance -> sched:Sched.t -> ?max_steps:int -> unit -> outcome
-(** One schedule on a fresh instance: picks of halted harts are
-    remapped to the next runnable hart, every switch is recorded and
-    oracle-checked, and the run stops at the first violation. *)
+(** One schedule on a fresh instance: picks are reduced modulo the
+    hart count, every switch is recorded and oracle-checked, and the
+    run stops at the first violation. *)
 
 val bug_name : Mir_rv.Machine.race_bug -> string
 val bug_of_name : string -> (Mir_rv.Machine.race_bug option, string) result

@@ -76,15 +76,11 @@ let pct ?(events = 64) ?(depth = 2) ~prng ~nharts () =
   let event_count = ref 0 in
   let floor = ref (-1) in
   let top m =
-    let best = ref (-1) in
+    let best = ref 0 in
     Array.iter
-      (fun h ->
-        if
-          (not h.Hart.halted)
-          && (!best < 0 || prio.(h.Hart.id) > prio.(!best))
-        then best := h.Hart.id)
+      (fun h -> if prio.(h.Hart.id) > prio.(!best) then best := h.Hart.id)
       m.Machine.harts;
-    if !best < 0 then 0 else !best
+    !best
   in
   {
     name = "pct";

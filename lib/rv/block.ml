@@ -1,8 +1,9 @@
 (* Decoded basic blocks and their physically-indexed cache.
 
    A block is a run of pre-decoded instructions compiled to closures,
-   one per instruction, each advancing the hart exactly as the
-   interpreter's [Machine.exec] would (most delegate straight to it).
+   one per instruction, by [Machine.op_of_instr] — the one definition
+   of each instruction's effect, which the interpreter applies an op
+   at a time.
    Blocks are keyed by the icache word index of their first
    instruction — a *physical* RAM location — so a block is valid for
    any virtual alias of its page; virtual-side validity (translation,
@@ -51,9 +52,10 @@ type t = {
          2 memory   — load/store/amo; can trap, invalidate blocks and
                       power off, but cannot change translation,
                       privilege or the vm-epoch
-         3 delegate — everything else (csr, xret, wfi, fences,
-                      ecall/ebreak); full interpreter semantics,
-                      may change anything *)
+         3 delegate — everything else (csr, xret, wfi, fence.i,
+                      sfence.vma, ecall/ebreak); may change
+                      anything, so it gets the interpreter's full
+                      per-step ceremony *)
   term_inert : bool;
       (* class of the last op is <= 2: after the block falls off its
          end, translation, privilege and the vm-epoch are provably

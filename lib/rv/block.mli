@@ -12,9 +12,10 @@
 
 type t = {
   ops : (Hart.t -> unit) array;
-      (** one closure per instruction, in address order; each advances
-          the hart exactly as [Machine.exec] would (raising
-          [Cause.Trap] for faults). Closures that need their own pc
+      (** one closure per instruction, in address order, compiled by
+          [Machine.op_of_instr] — the machine's only instruction
+          semantics, which the interpreter also runs — raising
+          [Cause.Trap] for faults. Closures that need their own pc
           read it as [hart.bpc] plus a compile-time offset; pure
           closures leave [pc] itself to the executor — see
           block.ml *)

@@ -6,18 +6,18 @@ type t = {
   tlb : Tlb.t;
   mutable priv : Priv.t;
   mutable wfi : bool;
-  mutable halted : bool;
   mutable cycles : int;
   mutable instret : int;
   mutable irq_stale : int;
   mutable reservation : int64 option;
   mutable just_trapped : bool;
   mutable bpc : int64;
-      (* block-engine scratch: virtual pc of the executing decoded
-         block's entry, read by closures that need their own pc
-         (auipc, jal/jalr links, branches) while the executor leaves
-         [pc] unwritten across pure runs. Meaningless outside
-         [Machine.exec_block]; never snapshotted or hashed. *)
+      (* virtual pc of the executing decoded block's entry (the
+         instruction's own pc when the interpreter applies one op),
+         read by ops that need their own pc (auipc, jal/jalr links,
+         branches) while the block executor leaves [pc] unwritten
+         across pure runs. Scratch for [Machine]'s ops; never
+         snapshotted or hashed. *)
 }
 
 let create ?(tlb_entries = 256) config ~id =
@@ -29,7 +29,6 @@ let create ?(tlb_entries = 256) config ~id =
     tlb = Tlb.create ~entries:tlb_entries;
     priv = Priv.M;
     wfi = false;
-    halted = false;
     cycles = 0;
     instret = 0;
     irq_stale = 0;
@@ -68,7 +67,6 @@ let reset t ~pc =
   Bytes.fill t.regs 0 256 '\000';
   t.priv <- Priv.M;
   t.wfi <- false;
-  t.halted <- false;
   t.just_trapped <- false;
   Tlb.flush t.tlb
 

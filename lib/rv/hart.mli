@@ -15,7 +15,6 @@ type t = {
   tlb : Tlb.t;  (** per-hart software TLB + fetch-page cache *)
   mutable priv : Priv.t;
   mutable wfi : bool;  (** stalled in [wfi] *)
-  mutable halted : bool;  (** stopped (HSM or test-finish) *)
   mutable cycles : int;
   mutable instret : int;
       (** plain [int] counters: 63 bits outlast any simulation, and
@@ -35,10 +34,11 @@ type t = {
           model mid-emulation preemption windows for injected race
           bugs. *)
   mutable bpc : int64;
-      (** block-engine scratch: entry pc of the decoded block being
-          executed, read by pc-relative closures while [pc] itself
-          stays unwritten across pure runs. Meaningless outside
-          [Machine.exec_block]; never snapshotted or hashed. *)
+      (** entry pc of the decoded block being executed (the
+          instruction's own pc when the interpreter applies one op),
+          read by pc-relative ops while the block executor leaves
+          [pc] unwritten across pure runs. Scratch for [Machine]'s
+          ops; never snapshotted or hashed. *)
 }
 
 val create : ?tlb_entries:int -> Csr_spec.config -> id:int -> t

@@ -53,7 +53,7 @@ type t = {
   uart : Uart.t;
   mutable blockdev : Blockdev.t option;
   mutable nic : Nic.t option;
-  icache : (Instr.t * int) option array;
+  icache : (Instr.t * int * (Hart.t -> unit)) option array;
   blocks : Block.cache;
   mutable block_engine : bool;
   mutable mmode_hook : (t -> Hart.t -> Cause.t -> unit) option;
@@ -441,58 +441,6 @@ let vstore t hart vaddr size v =
     t.harts;
   icache_invalidate t phys size
 
-(* Fill one icache slot from RAM; [idx] is a word index inside RAM. *)
-let fetch_fill t idx ~pc =
-  let phys = Int64.add t.config.ram_base (Int64.of_int (idx lsl 2)) in
-  match phys_load t phys 4 with
-  | None -> raise (Cause.Trap (Cause.Instr_access_fault, pc))
-  | Some word -> begin
-      let bits = Int64.to_int word in
-      match Decode.decode bits with
-      | Some i ->
-          t.icache.(idx) <- Some (i, bits);
-          (i, bits)
-      | None -> raise (Cause.Trap (Cause.Illegal_instr, word))
-    end
-
-let fetch t hart =
-  let pc = hart.Hart.pc in
-  if Int64.logand pc 3L <> 0L then
-    raise (Cause.Trap (Cause.Instr_misaligned, pc));
-  let tlb = hart.Hart.tlb in
-  Tlb.sync_epoch tlb (Csr_file.vm_epoch hart.Hart.csr);
-  (* fetch fast path: the current fetch page's icache base is cached,
-     so straight-line fetches cost two compares and two array reads *)
-  let base = Tlb.fetch_lookup tlb ~priv:hart.Hart.priv pc in
-  let idx =
-    if base >= 0 then base + ((Int64.to_int pc land 0xFFF) lsr 2)
-    else begin
-      let phys = resolve t hart ~priv:hart.Hart.priv Vmem.Fetch pc 4 in
-      match icache_index t phys with
-      | None ->
-          (* Fetches must target RAM. *)
-          raise (Cause.Trap (Cause.Instr_access_fault, pc))
-      | Some idx ->
-          (* cache the page when it lies wholly in RAM and PMP grants
-             execute over all of it (so hits can skip the range scan) *)
-          let pg = Int64.logand phys page_mask in
-          let off = Int64.sub pg t.config.ram_base in
-          if
-            off >= 0L
-            && Int64.add off 4096L <= Int64.of_int t.config.ram_size
-            && Pmp.check_ranges
-                 (Csr_file.pmp_ranges hart.Hart.csr)
-                 ~priv:hart.Hart.priv Pmp.Exec ~addr:pg ~size:4096
-          then
-            Tlb.fetch_install tlb ~priv:hart.Hart.priv pc
-              ~base:(Int64.to_int off lsr 2);
-          idx
-    end
-  in
-  match t.icache.(idx) with
-  | Some entry -> entry
-  | None -> fetch_fill t idx ~pc
-
 (* ------------------------------------------------------------------ *)
 (* CSR instruction semantics                                           *)
 (* ------------------------------------------------------------------ *)
@@ -565,7 +513,7 @@ let exec_csr t hart bits op rd src csr_addr =
   else finish (Csr_file.read csr csr_addr)
 
 (* ------------------------------------------------------------------ *)
-(* Instruction execution                                               *)
+(* Instruction semantics                                               *)
 (* ------------------------------------------------------------------ *)
 
 let jump t hart target =
@@ -574,268 +522,42 @@ let jump t hart target =
     raise (Cause.Trap (Cause.Instr_misaligned, target));
   hart.Hart.pc <- target
 
-let exec t hart instr bits =
-  let next () = hart.Hart.pc <- Int64.add hart.Hart.pc 4L in
-  let ms () = mstatus hart in
-  match instr with
-  | Instr.Lui (rd, imm) ->
-      Hart.set hart rd imm;
-      next ()
-  | Instr.Auipc (rd, imm) ->
-      Hart.set hart rd (Int64.add hart.Hart.pc imm);
-      next ()
-  | Instr.Jal (rd, off) ->
-      let target = Int64.add hart.Hart.pc off in
-      let link = Int64.add hart.Hart.pc 4L in
-      jump t hart target;
-      Hart.set hart rd link
-  | Instr.Jalr (rd, rs1, off) ->
-      let target =
-        Int64.logand (Int64.add (Hart.get hart rs1) off) (Int64.lognot 1L)
-      in
-      let link = Int64.add hart.Hart.pc 4L in
-      jump t hart target;
-      Hart.set hart rd link
-  | Instr.Branch (op, rs1, rs2, off) ->
-      if Alu.branch_taken op (Hart.get hart rs1) (Hart.get hart rs2) then
-        jump t hart (Int64.add hart.Hart.pc off)
-      else next ()
-  | Instr.Load { width; unsigned; rd; rs1; imm } ->
-      let addr = Int64.add (Hart.get hart rs1) imm in
-      let size = Instr.width_bytes width in
-      let v = vload t hart addr size ~signed:(not unsigned) in
-      Hart.set hart rd v;
-      next ()
-  | Instr.Store { width; rs2; rs1; imm } ->
-      let addr = Int64.add (Hart.get hart rs1) imm in
-      let size = Instr.width_bytes width in
-      vstore t hart addr size (Hart.get hart rs2);
-      next ()
-  | Instr.Op_imm (op, rd, rs1, imm) ->
-      Hart.set hart rd (Alu.op_imm op (Hart.get hart rs1) imm);
-      next ()
-  | Instr.Op_imm32 (op, rd, rs1, imm) ->
-      Hart.set hart rd (Alu.op_imm32 op (Hart.get hart rs1) imm);
-      next ()
-  | Instr.Op (op, rd, rs1, rs2) ->
-      Hart.set hart rd (Alu.op op (Hart.get hart rs1) (Hart.get hart rs2));
-      next ()
-  | Instr.Op32 (op, rd, rs1, rs2) ->
-      Hart.set hart rd (Alu.op32 op (Hart.get hart rs1) (Hart.get hart rs2));
-      next ()
-  | Instr.Fence -> next ()
-  | Instr.Fence_i ->
-      (* synchronize the instruction stream: drop decoded words and
-         blocks so later fetches re-read RAM (required after writes
-         that bypass the store-side invalidation, e.g. device DMA) *)
-      flush_icache t;
-      next ()
-  | Instr.Ecall ->
-      let cause =
-        match hart.Hart.priv with
-        | Priv.U -> Cause.Ecall_from_u
-        | Priv.S -> Cause.Ecall_from_s
-        | Priv.M -> Cause.Ecall_from_m
-      in
-      raise (Cause.Trap (cause, 0L))
-  | Instr.Ebreak -> raise (Cause.Trap (Cause.Breakpoint, hart.Hart.pc))
-  | Instr.Csr { op; rd; src; csr } -> exec_csr t hart bits op rd src csr
-  | Instr.Mret ->
-      if hart.Hart.priv <> Priv.M then illegal bits;
-      charge hart t.config.xret_penalty;
-      let csr = hart.Hart.csr in
-      let m = ms () in
-      let new_priv = Hart.Xfer_c.mret_target_priv m in
-      Csr_file.write_raw csr Csr_addr.mstatus (Hart.Xfer_c.mret_mstatus m);
-      hart.Hart.priv <- new_priv;
-      hart.Hart.pc <- Csr_file.read_raw csr Csr_addr.mepc
-  | Instr.Sret ->
-      if hart.Hart.priv = Priv.U then illegal bits;
-      if hart.Hart.priv = Priv.S && Bits.test (ms ()) Ms.tsr then illegal bits;
-      charge hart t.config.xret_penalty;
-      let csr = hart.Hart.csr in
-      let m = ms () in
-      let new_priv = Hart.Xfer_c.sret_target_priv m in
-      Csr_file.write_raw csr Csr_addr.mstatus (Hart.Xfer_c.sret_mstatus m);
-      hart.Hart.priv <- new_priv;
-      hart.Hart.pc <- Csr_file.read_raw csr Csr_addr.sepc
-  | Instr.Wfi ->
-      if hart.Hart.priv = Priv.U then illegal bits;
-      if hart.Hart.priv = Priv.S && Bits.test (ms ()) Ms.tw then illegal bits;
-      hart.Hart.wfi <- true;
-      next ()
-  | Instr.Sfence_vma (rs1, _) ->
-      if hart.Hart.priv = Priv.U then illegal bits;
-      if hart.Hart.priv = Priv.S && Bits.test (ms ()) Ms.tvm then illegal bits;
-      (* rs1 = x0: global fence; otherwise fence the named vpage.  ASID
-         (rs2) is ignored: the TLB is not ASID-tagged, so over-flushing
-         is the conservative, correct reading. *)
-      if rs1 = 0 then sfence_vma t ~from:hart.Hart.id ()
-      else sfence_vma t ~from:hart.Hart.id ~vaddr:(Hart.get hart rs1) ();
-      next ()
-  | Instr.Amo { op; wide; rd; rs1; rs2; _ } -> begin
-      let size = if wide then 8 else 4 in
-      let addr = Hart.get hart rs1 in
-      (* AMOs always require natural alignment *)
-      if not (Bits.is_aligned addr ~size) then
-        raise (Cause.Trap (Cause.Store_misaligned, addr));
-      let priv = effective_priv hart in
-      let sx v = if wide then v else Bits.sext32 v in
-      match op with
-      | Instr.Lr ->
-          let phys = resolve t hart ~priv Vmem.Load addr size in
-          (match phys_load t phys size with
-          | Some v ->
-              Hart.set hart rd (sx v);
-              hart.Hart.reservation <- Some phys;
-              next ()
-          | None -> raise (Cause.Trap (Cause.Load_access_fault, addr)))
-      | Instr.Sc ->
-          let phys = resolve t hart ~priv Vmem.Store addr size in
-          (match hart.Hart.reservation with
-          | Some r when r = phys ->
-              hart.Hart.reservation <- None;
-              if not (phys_store t phys size (Hart.get hart rs2)) then
-                raise (Cause.Trap (Cause.Store_access_fault, addr));
-              icache_invalidate t phys size;
-              Hart.set hart rd 0L;
-              next ()
-          | _ ->
-              hart.Hart.reservation <- None;
-              Hart.set hart rd 1L;
-              next ())
-      | Instr.Swap | Instr.Amoadd | Instr.Amoxor | Instr.Amoand
-      | Instr.Amoor | Instr.Amomin | Instr.Amomax | Instr.Amominu
-      | Instr.Amomaxu ->
-          (* read-modify-write; the write side is checked (AMOs need
-             both permissions, and W implies the store check here) *)
-          let phys = resolve t hart ~priv Vmem.Store addr size in
-          if not (pmp_check t hart ~priv Pmp.Read ~addr:phys ~size) then
-            raise (Cause.Trap (Cause.Store_access_fault, addr));
-          (match phys_load t phys size with
-          | None -> raise (Cause.Trap (Cause.Store_access_fault, addr))
-          | Some raw ->
-              let old = sx raw in
-              let src = if wide then Hart.get hart rs2
-                        else Bits.sext32 (Hart.get hart rs2) in
-              let result =
-                match op with
-                | Instr.Swap -> src
-                | Instr.Amoadd -> Int64.add old src
-                | Instr.Amoxor -> Int64.logxor old src
-                | Instr.Amoand -> Int64.logand old src
-                | Instr.Amoor -> Int64.logor old src
-                | Instr.Amomin -> if Int64.compare old src <= 0 then old else src
-                | Instr.Amomax -> if Int64.compare old src >= 0 then old else src
-                | Instr.Amominu -> if Bits.ule old src then old else src
-                | Instr.Amomaxu -> if Bits.ule src old then old else src
-                | Instr.Lr | Instr.Sc -> assert false
-              in
-              if not (phys_store t phys size result) then
-                raise (Cause.Trap (Cause.Store_access_fault, addr));
-              icache_invalidate t phys size;
-              (* an atomic write breaks other harts' reservations *)
-              Array.iter
-                (fun h ->
-                  if h != hart && h.Hart.reservation = Some phys then
-                    h.Hart.reservation <- None)
-                t.harts;
-              Hart.set hart rd old;
-              next ())
-    end
+let advance hart = hart.Hart.pc <- Int64.add hart.Hart.pc 4L
 
-(* ------------------------------------------------------------------ *)
-(* Stepping and the run loop                                           *)
-(* ------------------------------------------------------------------ *)
+(* Sret, wfi and sfence.vma are illegal from U-mode, and from S-mode
+   while the mstatus bit [tbit] (TSR, TW, TVM) is set. *)
+let check_s_mode hart bits tbit =
+  if
+    hart.Hart.priv = Priv.U
+    || (hart.Hart.priv = Priv.S && Bits.test (mstatus hart) tbit)
+  then illegal bits
 
-let wfi_quantum = 16
-
-(* Per-step preamble shared by the interpreter and the block engine:
-   deferred race actions, interrupt-line refresh, interrupt delivery,
-   wfi wake/idle. Returns true when the step must now fetch and
-   execute one instruction; false when the step was consumed by trap
-   entry, a wfi wake, or an idle wfi quantum. Keeping a single copy
-   of this sequence is what makes the two engines bit-exact: every
-   architectural step runs exactly one [pre_step], whichever engine
-   drives it. *)
-let pre_step t hart =
-  if t.deferred != [] then tick_deferred t;
-  hart.Hart.just_trapped <- false;
-  (* interrupt lines change only with device state (time advances per
-     chunk; msip/PLIC on MMIO stores): refreshing every 16th step
-     keeps delivery latency tiny without paying the cost per
-     instruction *)
-  hart.Hart.irq_stale <- hart.Hart.irq_stale + 1;
-  if hart.Hart.irq_stale >= 16 || hart.Hart.wfi then begin
-    hart.Hart.irq_stale <- 0;
-    update_irq_lines t hart
-  end;
-  match pending_interrupt t hart with
-  | Some i ->
-      hart.Hart.wfi <- false;
-      take_trap t hart (Cause.Interrupt i) ~tval:0L;
-      false
-  | None ->
-      if hart.Hart.wfi then begin
-        (* Wake on any pending-and-enabled interrupt; otherwise idle. *)
-        let csr = hart.Hart.csr in
-        let pending =
-          Int64.logand
-            (Csr_file.read_raw csr Csr_addr.mip)
-            (Csr_file.read_raw csr Csr_addr.mie)
-        in
-        if pending <> 0L then hart.Hart.wfi <- false
-        else charge hart wfi_quantum;
-        false
-      end
-      else true
-
-(* Fetch and execute exactly one instruction ([pre_step] returned
-   true). *)
-let fetch_exec_one t hart =
-  match fetch t hart with
-  | exception Cause.Trap (e, tval) ->
-      take_trap t hart (Cause.Exception e) ~tval
-  | instr, bits -> begin
-      hart.Hart.cycles <- hart.Hart.cycles + 1;
-      hart.Hart.instret <- hart.Hart.instret + 1;
-      t.instr_count <- t.instr_count + 1;
-      try exec t hart instr bits
-      with Cause.Trap (e, tval) -> take_trap t hart (Cause.Exception e) ~tval
-    end
-
-let step t hart =
-  if hart.Hart.halted then ()
-  else if pre_step t hart then fetch_exec_one t hart
-
-(* ------------------------------------------------------------------ *)
-(* Decoded basic-block engine                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Compile one instruction to a closure over the owning machine. The
+(* Compile one instruction to a closure over the owning machine: the
+   machine's only instruction semantics. The interpreter applies the
+   op compiled at offset 0 that [fetch_fill] caches with each decoded
+   word; [compile_block] compiles offset-baked copies, and
+   test/test_blocks.ml checks the arms against [Alu] and the ISA. The
    hot unprivileged forms are specialized — operands, immediates,
    access sizes and the ALU operation itself are split out at compile
    time, so the closure body is straight-line unboxed int64 arithmetic
    (ocamlopt's local unboxing applies within one closure; a call into
-   [Alu] would box every operand and the result). Everything else
-   delegates to [exec], keeping a single copy of the tricky
-   semantics. A closure must advance the hart *exactly* as [exec]
-   would, including the order of side effects around a potential trap
-   (e.g. a misaligned jump faults before the link register is
-   written).
+   [Alu] would box every operand and the result). A closure orders its
+   side effects around a potential trap as the architecture does (e.g.
+   a misaligned jump faults before the link register is written).
 
    Closure ABI: [op h], with [off] — the instruction's byte offset
    from its block's entry — baked in at compile time. A closure that
    needs its own pc (auipc, jal/jalr links, branch targets) computes
    it as [h.bpc + off], where [h.bpc] is the block entry pc the
-   executor maintains; [h.pc] itself may be stale at that point,
+   caller maintains; [h.pc] itself may be stale at that point,
    because pure closures never write it and the executor only
    materializes [pc <- bpc + 4 i] when something can observe it (a
    memory/delegate op, a slow pre-step, a trap, the block boundary).
    Control closures write the successor pc absolutely; memory and
    delegate closures run with [pc] accurate and advance it
-   themselves, exactly as the interpreter would. Closures take the
-   hart as their only argument so the executor's calls are direct
+   themselves. The interpreter sets [bpc <- pc] before an op and
+   advances pc itself after a pure one. Closures take the hart as
+   their only argument so the executor's calls are direct
    one-argument indirect calls (a two-argument unknown application
    would detour through caml_apply2 on every instruction). *)
 let op_of_instr t instr bits ~off =
@@ -974,15 +696,258 @@ let op_of_instr t instr bits ~off =
           fun h ->
             Hart.set h rd (Alu.op32 op (Hart.get h rs1) (Hart.get h rs2)))
   | Instr.Fence -> fun _ -> ()
-  | Instr.Fence_i | Instr.Ecall | Instr.Ebreak | Instr.Csr _ | Instr.Mret
-  | Instr.Sret | Instr.Wfi | Instr.Sfence_vma _ | Instr.Amo _ ->
-      fun h -> exec t h instr bits
+  | Instr.Fence_i ->
+      (* synchronize the instruction stream: drop decoded words and
+         blocks so later fetches re-read RAM (required after writes
+         that bypass the store-side invalidation, e.g. device DMA) *)
+      fun h ->
+        flush_icache t;
+        advance h
+  | Instr.Ecall ->
+      fun h ->
+        let cause =
+          match h.Hart.priv with
+          | Priv.U -> Cause.Ecall_from_u
+          | Priv.S -> Cause.Ecall_from_s
+          | Priv.M -> Cause.Ecall_from_m
+        in
+        raise (Cause.Trap (cause, 0L))
+  | Instr.Ebreak -> fun h -> raise (Cause.Trap (Cause.Breakpoint, h.Hart.pc))
+  | Instr.Csr { op; rd; src; csr } -> fun h -> exec_csr t h bits op rd src csr
+  | Instr.Mret ->
+      fun h ->
+        if h.Hart.priv <> Priv.M then illegal bits;
+        charge h t.config.xret_penalty;
+        let ms = mstatus h in
+        Csr_file.write_raw h.Hart.csr Csr_addr.mstatus
+          (Hart.Xfer_c.mret_mstatus ms);
+        h.Hart.priv <- Hart.Xfer_c.mret_target_priv ms;
+        h.Hart.pc <- Csr_file.read_raw h.Hart.csr Csr_addr.mepc
+  | Instr.Sret ->
+      fun h ->
+        check_s_mode h bits Ms.tsr;
+        charge h t.config.xret_penalty;
+        let ms = mstatus h in
+        Csr_file.write_raw h.Hart.csr Csr_addr.mstatus
+          (Hart.Xfer_c.sret_mstatus ms);
+        h.Hart.priv <- Hart.Xfer_c.sret_target_priv ms;
+        h.Hart.pc <- Csr_file.read_raw h.Hart.csr Csr_addr.sepc
+  | Instr.Wfi ->
+      fun h ->
+        check_s_mode h bits Ms.tw;
+        h.Hart.wfi <- true;
+        advance h
+  | Instr.Sfence_vma (rs1, _) ->
+      (* rs1 = x0: global fence; otherwise fence the named vpage.  ASID
+         (rs2) is ignored: the TLB is not ASID-tagged, so over-flushing
+         is the conservative, correct reading. *)
+      fun h ->
+        check_s_mode h bits Ms.tvm;
+        if rs1 = 0 then sfence_vma t ~from:h.Hart.id ()
+        else sfence_vma t ~from:h.Hart.id ~vaddr:(Hart.get h rs1) ();
+        advance h
+  | Instr.Amo { op; wide; rd; rs1; rs2; _ } ->
+      let size = if wide then 8 else 4 in
+      let sx v = if wide then v else Bits.sext32 v in
+      fun h -> begin
+        let addr = Hart.get h rs1 in
+        (* AMOs always require natural alignment *)
+        if not (Bits.is_aligned addr ~size) then
+          raise (Cause.Trap (Cause.Store_misaligned, addr));
+        let priv = effective_priv h in
+        match op with
+        | Instr.Lr ->
+            let phys = resolve t h ~priv Vmem.Load addr size in
+            (match phys_load t phys size with
+            | Some v ->
+                Hart.set h rd (sx v);
+                h.Hart.reservation <- Some phys;
+                advance h
+            | None -> raise (Cause.Trap (Cause.Load_access_fault, addr)))
+        | Instr.Sc ->
+            let phys = resolve t h ~priv Vmem.Store addr size in
+            (match h.Hart.reservation with
+            | Some r when r = phys ->
+                h.Hart.reservation <- None;
+                if not (phys_store t phys size (Hart.get h rs2)) then
+                  raise (Cause.Trap (Cause.Store_access_fault, addr));
+                icache_invalidate t phys size;
+                Hart.set h rd 0L;
+                advance h
+            | _ ->
+                h.Hart.reservation <- None;
+                Hart.set h rd 1L;
+                advance h)
+        | Instr.Swap | Instr.Amoadd | Instr.Amoxor | Instr.Amoand
+        | Instr.Amoor | Instr.Amomin | Instr.Amomax | Instr.Amominu
+        | Instr.Amomaxu ->
+            (* read-modify-write; the write side is checked (AMOs need
+               both permissions, and W implies the store check here) *)
+            let phys = resolve t h ~priv Vmem.Store addr size in
+            if not (pmp_check t h ~priv Pmp.Read ~addr:phys ~size) then
+              raise (Cause.Trap (Cause.Store_access_fault, addr));
+            (match phys_load t phys size with
+            | None -> raise (Cause.Trap (Cause.Store_access_fault, addr))
+            | Some raw ->
+                let old = sx raw in
+                let src = sx (Hart.get h rs2) in
+                let result =
+                  match op with
+                  | Instr.Swap -> src
+                  | Instr.Amoadd -> Int64.add old src
+                  | Instr.Amoxor -> Int64.logxor old src
+                  | Instr.Amoand -> Int64.logand old src
+                  | Instr.Amoor -> Int64.logor old src
+                  | Instr.Amomin ->
+                      if Int64.compare old src <= 0 then old else src
+                  | Instr.Amomax ->
+                      if Int64.compare old src >= 0 then old else src
+                  | Instr.Amominu -> if Bits.ule old src then old else src
+                  | Instr.Amomaxu -> if Bits.ule src old then old else src
+                  | Instr.Lr | Instr.Sc -> assert false
+                in
+                if not (phys_store t phys size result) then
+                  raise (Cause.Trap (Cause.Store_access_fault, addr));
+                icache_invalidate t phys size;
+                (* an atomic write breaks other harts' reservations *)
+                Array.iter
+                  (fun o ->
+                    if o != h && o.Hart.reservation = Some phys then
+                      o.Hart.reservation <- None)
+                  t.harts;
+                Hart.set h rd old;
+                advance h)
+      end
+
+(* ------------------------------------------------------------------ *)
+(* Stepping and the run loop                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Fill one icache slot from RAM; [idx] is a word index inside RAM.
+   The entry carries the op compiled at offset 0, so an interpreted
+   step compiles nothing. *)
+let fetch_fill t idx ~pc =
+  let phys = Int64.add t.config.ram_base (Int64.of_int (idx lsl 2)) in
+  match phys_load t phys 4 with
+  | None -> raise (Cause.Trap (Cause.Instr_access_fault, pc))
+  | Some word -> begin
+      let bits = Int64.to_int word in
+      match Decode.decode bits with
+      | Some i ->
+          let entry = (i, bits, op_of_instr t i bits ~off:0) in
+          t.icache.(idx) <- Some entry;
+          entry
+      | None -> raise (Cause.Trap (Cause.Illegal_instr, word))
+    end
+
+let fetch t hart =
+  let pc = hart.Hart.pc in
+  if Int64.logand pc 3L <> 0L then
+    raise (Cause.Trap (Cause.Instr_misaligned, pc));
+  let tlb = hart.Hart.tlb in
+  Tlb.sync_epoch tlb (Csr_file.vm_epoch hart.Hart.csr);
+  (* fetch fast path: the current fetch page's icache base is cached,
+     so straight-line fetches cost two compares and two array reads *)
+  let base = Tlb.fetch_lookup tlb ~priv:hart.Hart.priv pc in
+  let idx =
+    if base >= 0 then base + ((Int64.to_int pc land 0xFFF) lsr 2)
+    else begin
+      let phys = resolve t hart ~priv:hart.Hart.priv Vmem.Fetch pc 4 in
+      match icache_index t phys with
+      | None ->
+          (* Fetches must target RAM. *)
+          raise (Cause.Trap (Cause.Instr_access_fault, pc))
+      | Some idx ->
+          (* cache the page when it lies wholly in RAM and PMP grants
+             execute over all of it (so hits can skip the range scan) *)
+          let pg = Int64.logand phys page_mask in
+          let off = Int64.sub pg t.config.ram_base in
+          if
+            off >= 0L
+            && Int64.add off 4096L <= Int64.of_int t.config.ram_size
+            && Pmp.check_ranges
+                 (Csr_file.pmp_ranges hart.Hart.csr)
+                 ~priv:hart.Hart.priv Pmp.Exec ~addr:pg ~size:4096
+          then
+            Tlb.fetch_install tlb ~priv:hart.Hart.priv pc
+              ~base:(Int64.to_int off lsr 2);
+          idx
+    end
+  in
+  match t.icache.(idx) with
+  | Some entry -> entry
+  | None -> fetch_fill t idx ~pc
+
+let wfi_quantum = 16
+
+(* Per-step preamble shared by the interpreter and the block engine:
+   deferred race actions, interrupt-line refresh, interrupt delivery,
+   wfi wake/idle. Returns true when the step must now fetch and
+   execute one instruction; false when the step was consumed by trap
+   entry, a wfi wake, or an idle wfi quantum. Keeping a single copy
+   of this sequence is what makes the two engines bit-exact: every
+   architectural step runs exactly one [pre_step], whichever engine
+   drives it. *)
+let pre_step t hart =
+  if t.deferred != [] then tick_deferred t;
+  hart.Hart.just_trapped <- false;
+  (* interrupt lines change only with device state (time advances per
+     chunk; msip/PLIC on MMIO stores): refreshing every 16th step
+     keeps delivery latency tiny without paying the cost per
+     instruction *)
+  hart.Hart.irq_stale <- hart.Hart.irq_stale + 1;
+  if hart.Hart.irq_stale >= 16 || hart.Hart.wfi then begin
+    hart.Hart.irq_stale <- 0;
+    update_irq_lines t hart
+  end;
+  match pending_interrupt t hart with
+  | Some i ->
+      hart.Hart.wfi <- false;
+      take_trap t hart (Cause.Interrupt i) ~tval:0L;
+      false
+  | None ->
+      if hart.Hart.wfi then begin
+        (* Wake on any pending-and-enabled interrupt; otherwise idle. *)
+        let csr = hart.Hart.csr in
+        let pending =
+          Int64.logand
+            (Csr_file.read_raw csr Csr_addr.mip)
+            (Csr_file.read_raw csr Csr_addr.mie)
+        in
+        if pending <> 0L then hart.Hart.wfi <- false
+        else charge hart wfi_quantum;
+        false
+      end
+      else true
+
+(* Fetch and execute exactly one instruction ([pre_step] returned
+   true). *)
+let fetch_exec_one t hart =
+  match fetch t hart with
+  | exception Cause.Trap (e, tval) ->
+      take_trap t hart (Cause.Exception e) ~tval
+  | instr, _, op -> begin
+      hart.Hart.cycles <- hart.Hart.cycles + 1;
+      hart.Hart.instret <- hart.Hart.instret + 1;
+      t.instr_count <- t.instr_count + 1;
+      hart.Hart.bpc <- hart.Hart.pc;
+      try
+        op hart;
+        if Instr.is_pure instr then advance hart
+      with Cause.Trap (e, tval) -> take_trap t hart (Cause.Exception e) ~tval
+    end
+
+let step t hart = if pre_step t hart then fetch_exec_one t hart
+
+(* ------------------------------------------------------------------ *)
+(* Decoded basic-block engine                                          *)
+(* ------------------------------------------------------------------ *)
 
 let max_block_len = 64
 
 (* Executor class (see block.ml): 0 pure, 1 control, 2 memory,
    3 delegate. Class 0 must coincide exactly with [Instr.is_pure],
-   which also drives [pure_run]. *)
+   which also drives [pure_run] and the interpreter's pc advance. *)
 let class_of_instr instr =
   if Instr.is_pure instr then 0
   else
@@ -1012,7 +977,7 @@ let compile_block t idx0 =
       while !scanning && idx0 + !n < limit do
         match t.icache.(idx0 + !n) with
         | None -> scanning := false
-        | Some (i, _) ->
+        | Some (i, _, _) ->
             incr n;
             if Instr.is_block_terminator i then scanning := false
       done;
@@ -1020,7 +985,7 @@ let compile_block t idx0 =
       let ops =
         Array.init n (fun k ->
             match t.icache.(idx0 + k) with
-            | Some (i, bits) -> op_of_instr t i bits ~off:(k lsl 2)
+            | Some (i, bits, _) -> op_of_instr t i bits ~off:(k lsl 2)
             | None -> assert false)
       in
       let pure_run = Array.make n 0 in
@@ -1028,7 +993,7 @@ let compile_block t idx0 =
       let run = ref 0 in
       for k = n - 1 downto 0 do
         (match t.icache.(idx0 + k) with
-        | Some (i, _) ->
+        | Some (i, _, _) ->
             if Instr.is_pure i then incr run else run := 0;
             Bytes.set cls k (Char.chr (class_of_instr i))
         | None -> assert false);
@@ -1456,8 +1421,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
           incr retired;
           incr i;
           if
-            hart.Hart.just_trapped || t.poweroff || hart.Hart.halted
-            || !steps >= budget
+            hart.Hart.just_trapped || t.poweroff || !steps >= budget
             || (match Block.lookup t.blocks !start_idx with
                | Some cur -> cur != !blk
                | None -> true)
@@ -1545,9 +1509,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
           sync_no_irq ();
           have_page := false;
           incr steps;
-          if
-            hart.Hart.just_trapped || t.poweroff || hart.Hart.halted
-            || !steps >= budget
+          if hart.Hart.just_trapped || t.poweroff || !steps >= budget
           then continue_ := false
           else if not (pre_next ()) then begin
             incr steps;
@@ -1571,7 +1533,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
    confined to lib/rv, lib/verif and bench by lint rule 7. *)
 let step_blocks t hart ~budget =
   let steps = ref 0 in
-  while !steps < budget && (not t.poweroff) && not hart.Hart.halted do
+  while !steps < budget && not t.poweroff do
     if not (pre_step t hart) then incr steps
     else begin
       let pc = hart.Hart.pc in
@@ -1612,12 +1574,6 @@ let step_blocks t hart ~budget =
 let block_stats t = Block.stats t.blocks
 let block_hit_rate t = Block.hit_rate t.blocks
 let set_block_engine t on = t.block_engine <- on
-let block_engine_enabled t = t.block_engine
-
-let all_halted t =
-  Array.for_all (fun h -> h.Hart.halted) t.harts
-
-let now_ticks t = Clint.mtime t.clint
 
 let sync_time t =
   let max_cycles =
@@ -1628,7 +1584,8 @@ let sync_time t =
 
 let poll_devices t =
   (match t.blockdev with
-  | Some bd -> Blockdev.poll bd ~now:(now_ticks t) (Plic.raise_irq t.plic)
+  | Some bd ->
+      Blockdev.poll bd ~now:(Clint.mtime t.clint) (Plic.raise_irq t.plic)
   | None -> ());
   match t.nic with
   | Some nic ->
@@ -1636,8 +1593,8 @@ let poll_devices t =
       else Plic.lower_irq t.plic (Nic.irq nic)
   | None -> ()
 
-(* Nothing can wake a hart any more: every live hart idles in wfi with
-   no pending-and-enabled interrupt, no comparator it enables is armed
+(* Nothing can wake a hart any more: every hart idles in wfi with no
+   pending-and-enabled interrupt, no comparator it enables is armed
    (all-ones never fires), MSIP and the enabled PLIC lines are low, and
    no deferred action or device event is outstanding. *)
 let quiescent t =
@@ -1662,9 +1619,15 @@ let quiescent t =
   t.deferred == []
   && (match t.blockdev with Some bd -> not (Blockdev.busy bd) | None -> true)
   && (match t.nic with Some nic -> not (Nic.irq_line nic) | None -> true)
-  && Array.for_all (fun hart -> hart.Hart.halted || asleep hart) t.harts
+  && Array.for_all asleep t.harts
 
-let run ?(max_instrs = Int64.max_int) ?(chunk = 32) t =
+let all_halted = quiescent
+
+(* Steps each hart runs per round of [run]; device time is synced and
+   devices polled once per round. *)
+let slice = 32
+
+let run ?(max_instrs = Int64.max_int) t =
   let max_instrs =
     if max_instrs >= Int64.of_int max_int then max_int
     else Int64.to_int max_instrs
@@ -1675,22 +1638,19 @@ let run ?(max_instrs = Int64.max_int) ?(chunk = 32) t =
      machine would spin forever: stop after a round that retired
      nothing once nothing can wake a hart. *)
   let idle = ref false in
-  while
-    (not t.poweroff) && (not (all_halted t)) && budget_left () > 0
-    && not !idle
-  do
+  while (not t.poweroff) && budget_left () > 0 && not !idle do
     let retired = t.instr_count in
     Array.iter
       (fun hart ->
         let n = ref 0 in
         if t.block_engine then
           (* same hart-slice budget; [step_blocks] consumes >= 1 step
-             per call on a live hart, so the slice always terminates *)
-          while !n < chunk && (not t.poweroff) && not hart.Hart.halted do
-            n := !n + step_blocks t hart ~budget:(chunk - !n)
+             per call, so the slice always terminates *)
+          while !n < slice && not t.poweroff do
+            n := !n + step_blocks t hart ~budget:(slice - !n)
           done
         else
-          while !n < chunk && (not t.poweroff) && not hart.Hart.halted do
+          while !n < slice && not t.poweroff do
             step t hart;
             incr n
           done)
@@ -1704,20 +1664,18 @@ let run ?(max_instrs = Int64.max_int) ?(chunk = 32) t =
 
 (* Scheduled execution: [pick] chooses the hart for every single step,
    so a scheduler (lib/explore) can preempt at arbitrary step
-   boundaries. Device time is synced every [chunk] scheduled steps —
-   pass 32 * nharts to mirror [run]'s cadence. The contract on [pick]
-   is to return a non-halted hart (the explorer remaps halted picks
-   deterministically before recording them); a halted or out-of-range
-   pick steps nothing but still consumes budget, so the loop always
-   terminates. [pick] may raise to abort the run early. *)
-let run_scheduled ?(max_steps = max_int) ?(chunk = 64) ~pick t =
+   boundaries. Device time is synced every [slice * nharts] scheduled
+   steps, [run]'s cadence. An out-of-range pick steps nothing but
+   still consumes budget, so the loop always terminates. [pick] may
+   raise to abort the run early. *)
+let run_scheduled ~max_steps ~pick t =
   let nharts = Array.length t.harts in
+  let chunk = slice * nharts in
   let n = ref 0 in
   let total = ref 0 in
-  while (not t.poweroff) && (not (all_halted t)) && !total < max_steps do
+  while (not t.poweroff) && !total < max_steps do
     let h = pick t in
-    if h >= 0 && h < nharts && not t.harts.(h).Hart.halted then
-      step t t.harts.(h);
+    if h >= 0 && h < nharts then step t t.harts.(h);
     incr n;
     incr total;
     if !n >= chunk then begin

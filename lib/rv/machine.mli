@@ -54,8 +54,9 @@ type t = {
   uart : Uart.t;
   mutable blockdev : Blockdev.t option;
   mutable nic : Nic.t option;
-  icache : (Instr.t * int) option array;
-      (** decoded-instruction cache (instruction, raw bits) *)
+  icache : (Instr.t * int * (Hart.t -> unit)) option array;
+      (** decoded-instruction cache: the instruction, its raw bits and
+          its op compiled at offset 0, which {!step} applies *)
   blocks : Block.cache;
       (** decoded basic blocks over the icache, physically indexed;
           see DESIGN.md §11 *)
@@ -104,17 +105,10 @@ val phys_store : t -> int64 -> int -> int64 -> bool
 val load_program : t -> int64 -> bytes -> unit
 (** Copy a program image into RAM and invalidate the icache. *)
 
-val pmp_check :
-  t -> Hart.t -> priv:Priv.t -> Pmp.access -> addr:int64 -> size:int -> bool
-(** The hart's current physical PMP applied to an access. *)
-
 val translate :
   t -> Hart.t -> priv:Priv.t -> Vmem.access -> int64 ->
   (int64, Cause.exc) result
 (** Sv39 translation using the hart's satp/mstatus context. *)
-
-val take_trap : t -> Hart.t -> Cause.t -> tval:int64 -> unit
-(** Architectural trap entry (delegation, CSR updates, hook). *)
 
 val pending_interrupt : t -> Hart.t -> Cause.intr option
 (** The interrupt the hart would take next, per the architectural
@@ -122,7 +116,8 @@ val pending_interrupt : t -> Hart.t -> Cause.intr option
 
 val step : t -> Hart.t -> unit
 (** Execute one instruction (or deliver one interrupt / idle one
-    quantum in WFI). *)
+    quantum in WFI): fetch the decoded word and apply the op cached
+    with it, the same compiled semantics the block engine runs. *)
 
 val step_blocks : t -> Hart.t -> budget:int -> int
 (** Consume up to [budget] machine steps through the decoded
@@ -144,13 +139,12 @@ val block_hit_rate : t -> float
 val set_block_engine : t -> bool -> unit
 (** Toggle the engine used by {!run}; flushing is unnecessary because
     blocks mirror icache contents either way. {!step} always remains
-    the per-instruction interpreter — the differential oracle — and
+    the per-instruction interpreter — blockdiff's reference for the
+    engine's batching, chaining and invalidation — and
     {!run_scheduled} always steps the interpreter so schedule
     exploration preempts at exact step counts. The engine requires
     the fetch-page cache ([tlb_entries > 0]) to ever hit; with it
     disabled every step falls back to the interpreter. *)
-
-val block_engine_enabled : t -> bool
 
 val charge : Hart.t -> int -> unit
 (** Add cost-model cycles to a hart. *)
@@ -158,26 +152,25 @@ val charge : Hart.t -> int -> unit
 val resume : Hart.t -> pc:int64 -> priv:Priv.t -> unit
 (** Redirect a hart (used by the VFM when returning from emulation). *)
 
-val run : ?max_instrs:int64 -> ?chunk:int -> t -> unit
-(** Run all harts round-robin until power-off, all harts halt, the
-    instruction budget is exhausted, or a round retires no instruction
-    and {!quiescent} holds after [on_chunk]. *)
+val run : ?max_instrs:int64 -> t -> unit
+(** Run all harts round-robin, 32 steps per hart per round, until
+    power-off, the instruction budget is exhausted, or a round retires
+    no instruction and {!quiescent} holds after [on_chunk]. *)
 
 val quiescent : t -> bool
-(** No hart can wake again: every live hart is in wfi with
+(** No hart can wake again: every hart is in wfi with
     mip ∧ mie = 0, no comparator it enables is armed (mtimecmp under
     MTIE; stimecmp under STIE when Sstc and menvcfg.STCE are on), its
     MSIP and the PLIC lines it enables are low, the deferred queue is
     empty, the block device is idle and the NIC's irq line is low. *)
 
-val run_scheduled : ?max_steps:int -> ?chunk:int -> pick:(t -> int) -> t -> unit
-(** Run under an external scheduler: [pick] chooses the hart for every
-    single step, so a schedule explorer can preempt at arbitrary step
-    boundaries. Device time is synced every [chunk] scheduled steps
-    (pass [32 * nharts] to mirror {!run}'s cadence). [pick] should
-    return a non-halted hart; a halted or out-of-range pick steps
-    nothing but still consumes the step budget. [pick] may raise to
-    abort the run. *)
+val run_scheduled : max_steps:int -> pick:(t -> int) -> t -> unit
+(** Run under an external scheduler for [max_steps] steps or until
+    power-off: [pick] chooses the hart for every single step, so a
+    schedule explorer can preempt at arbitrary step boundaries. Device
+    time is synced every [32 * nharts] scheduled steps, {!run}'s
+    cadence. An out-of-range pick steps nothing but still consumes the
+    step budget. [pick] may raise to abort the run. *)
 
 val race_window : int
 (** Width, in global steps, of every injected race window. *)
@@ -188,8 +181,7 @@ val defer : t -> ticks:int -> (t -> unit) -> unit
     delayed cross-hart propagation. *)
 
 val all_halted : t -> bool
-val now_ticks : t -> int64
-(** Current mtime. *)
+(** {!quiescent}: no hart can run again. *)
 
 val flush_icache : t -> unit
 

@@ -55,6 +55,3 @@ val manage :
 
 val checkpoints : manager -> t list
 (** Oldest (root) first. *)
-
-val take_now : manager -> t
-val latest_before : manager -> instrs:int64 -> t option

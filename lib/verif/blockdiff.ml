@@ -201,7 +201,6 @@ let compare_sides a b =
           Priv.to_string a.hart.Hart.priv,
           Priv.to_string b.hart.Hart.priv );
   chkb "wfi" a.hart.Hart.wfi b.hart.Hart.wfi;
-  chkb "halted" a.hart.Hart.halted b.hart.Hart.halted;
   chkb "poweroff" a.machine.Machine.poweroff b.machine.Machine.poweroff;
   chki "cycles" a.hart.Hart.cycles b.hart.Hart.cycles;
   chki "instret" a.hart.Hart.instret b.hart.Hart.instret;
@@ -266,11 +265,7 @@ let run_case ?(on_segment = fun _ _ -> ()) case =
      Array.iteri
        (fun si budget ->
          let consumed = ref 0 in
-         while
-           !consumed < budget
-           && (not a.machine.Machine.poweroff)
-           && not a.hart.Hart.halted
-         do
+         while !consumed < budget && not a.machine.Machine.poweroff do
            consumed :=
              !consumed
              + Machine.step_blocks a.machine a.hart
@@ -289,7 +284,7 @@ let run_case ?(on_segment = fun _ _ -> ()) case =
                  { seg_index = si; field; blocks_state = av; interp_state = bv };
              raise Exit
          | None -> ());
-         if a.machine.Machine.poweroff || a.hart.Hart.halted then raise Exit)
+         if a.machine.Machine.poweroff then raise Exit)
        case.segs
    with Exit -> ());
   match !div with

@@ -23,6 +23,8 @@ module Instr = Mir_rv.Instr
 module Encode = Mir_rv.Encode
 module Csr_file = Mir_rv.Csr_file
 module Csr_addr = Mir_rv.Csr_addr
+module Alu = Mir_rv.Alu
+module Cause = Mir_rv.Cause
 module Priv = Mir_rv.Priv
 module Pmp = Mir_rv.Pmp
 module Vmem = Mir_rv.Vmem
@@ -96,7 +98,7 @@ let machine_of_words ?(config = small_config) ?(at = 0) words =
 (* Consume exactly [n] machine steps through the block engine. *)
 let consume_blocks m h n =
   let c = ref 0 in
-  while !c < n && (not m.Machine.poweroff) && not h.Hart.halted do
+  while !c < n && not m.Machine.poweroff do
     c := !c + Machine.step_blocks m h ~budget:(n - !c)
   done;
   !c
@@ -105,7 +107,7 @@ let consume m h ~blocks n =
   if blocks then consume_blocks m h n
   else begin
     let c = ref 0 in
-    while !c < n && (not m.Machine.poweroff) && not h.Hart.halted do
+    while !c < n && not m.Machine.poweroff do
       Machine.step m h;
       incr c
     done;
@@ -384,6 +386,164 @@ let test_snapshot_restore_drops_blocks () =
      Snapshot.hash mi)
 
 (* ------------------------------------------------------------------ *)
+(* The compiled arms against their own reference                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Both engines run [Machine.op_of_instr]'s arms, so a wrong arm moves
+   them alike and blockdiff cannot see it. These tests step each
+   unprivileged form once through the interpreter and check it against
+   [Alu] and the ISA's formulas. Registers: rd = x3, rs1 = x1,
+   rs2 = x2. *)
+
+let arm_values =
+  [ 0L; 1L; -1L; 2L; 31L; 32L; 63L; 64L; 0x7FFF_FFFFL; 0x8000_0000L;
+    0xFFFF_FFFFL; Int64.min_int; Int64.max_int; 0x5555_5555_5555_5555L;
+    0xAAAA_AAAA_AAAA_AAAAL ]
+
+let shift_amounts n = List.init n Int64.of_int
+
+(* the grid values that fit a 12-bit immediate, and its two extremes *)
+let arm_imms =
+  List.filter (fun v -> v >= -2048L && v <= 2047L) arm_values
+  @ [ -2048L; 2047L ]
+
+let arm_pc = Int64.add small_config.Machine.ram_base 0x100L
+
+(* Write [instr] at [arm_pc], drop its decoded copy, load [regs] and
+   interpret one step. *)
+let step_arm m h instr regs =
+  ignore (Machine.phys_store m arm_pc 4 (Int64.of_int (enc instr)));
+  Machine.invalidate_icache m arm_pc 4;
+  h.Hart.pc <- arm_pc;
+  List.iter (fun (r, v) -> Hart.set h r v) regs;
+  Machine.step m h
+
+let expect instr (x1, x2) what got want =
+  if got <> want then
+    Alcotest.failf "%s with x1=%#Lx x2=%#Lx: %s = %#Lx, want %#Lx"
+      (Instr.to_string instr) x1 x2 what got want
+
+let test_alu_arms () =
+  let m = Machine.create small_config in
+  let h = m.Machine.harts.(0) in
+  let check instr a b want =
+    step_arm m h instr [ (1, a); (2, b) ];
+    expect instr (a, b) "x3" (Hart.get h 3) want;
+    expect instr (a, b) "pc" h.Hart.pc (Int64.add arm_pc 4L)
+  in
+  let over seconds f =
+    List.iter (fun a -> List.iter (fun b -> f a b) seconds) arm_values
+  in
+  let rs2_values = arm_values @ shift_amounts 64 in
+  List.iter
+    (fun op ->
+      over rs2_values (fun a b ->
+          check (Instr.Op (op, 3, 1, 2)) a b (Alu.op op a b)))
+    Instr.
+      [ Add; Sub; Sll; Slt; Sltu; Xor; Srl; Sra; Or; And; Mul; Mulh;
+        Mulhsu; Mulhu; Div; Divu; Rem; Remu ];
+  List.iter
+    (fun op ->
+      over rs2_values (fun a b ->
+          check (Instr.Op32 (op, 3, 1, 2)) a b (Alu.op32 op a b)))
+    Instr.[ Addw; Subw; Sllw; Srlw; Sraw; Mulw; Divw; Divuw; Remw; Remuw ];
+  List.iter
+    (fun op ->
+      let imms =
+        match op with
+        | Instr.Slli | Instr.Srli | Instr.Srai -> shift_amounts 64
+        | _ -> arm_imms
+      in
+      over imms (fun a imm ->
+          check (Instr.Op_imm (op, 3, 1, imm)) a imm (Alu.op_imm op a imm)))
+    Instr.[ Addi; Slti; Sltiu; Xori; Ori; Andi; Slli; Srli; Srai ];
+  List.iter
+    (fun op ->
+      let imms = if op = Instr.Addiw then arm_imms else shift_amounts 32 in
+      over imms (fun a imm ->
+          check
+            (Instr.Op_imm32 (op, 3, 1, imm))
+            a imm (Alu.op_imm32 op a imm)))
+    Instr.[ Addiw; Slliw; Srliw; Sraiw ]
+
+let test_branch_arms () =
+  let m = Machine.create small_config in
+  let h = m.Machine.harts.(0) in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun off ->
+          let instr = Instr.Branch (op, 1, 2, off) in
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  step_arm m h instr [ (1, a); (2, b) ];
+                  expect instr (a, b) "pc" h.Hart.pc
+                    (Int64.add arm_pc
+                       (if Alu.branch_taken op a b then off else 4L)))
+                arm_values)
+            arm_values)
+        [ 0x40L; -0x100L ])
+    Instr.[ Beq; Bne; Blt; Bge; Bltu; Bgeu ]
+
+(* lui, auipc, jal and jalr against the ISA's formulas, including
+   rd = rs1 and misaligned targets, which trap before rd is written. *)
+let test_jump_arms () =
+  let m = Machine.create small_config in
+  let h = m.Machine.harts.(0) in
+  let old = 0x5A5A_5A5A_5A5A_5A5AL in
+  let check instr ~x1 ~rd ~rd_want ~pc_want =
+    step_arm m h instr [ (1, x1); (3, old) ];
+    expect instr (x1, 0L) (Instr.reg_name rd) (Hart.get h rd) rd_want;
+    expect instr (x1, 0L) "pc" h.Hart.pc pc_want
+  in
+  let check_misaligned instr ~x1 ~rd ~target =
+    let cause = Cause.Exception Cause.Instr_misaligned in
+    let csr = Csr_file.read_raw h.Hart.csr in
+    check instr ~x1 ~rd
+      ~rd_want:(if rd = 1 then x1 else old)
+      ~pc_want:(Cause.tvec_target (csr Csr_addr.mtvec) cause);
+    expect instr (x1, 0L) "mcause" (csr Csr_addr.mcause)
+      (Cause.to_xcause cause);
+    expect instr (x1, 0L) "mtval" (csr Csr_addr.mtval) target;
+    expect instr (x1, 0L) "mepc" (csr Csr_addr.mepc) arm_pc
+  in
+  let next = Int64.add arm_pc 4L in
+  List.iter
+    (fun imm ->
+      check (Instr.Lui (3, imm)) ~x1:0L ~rd:3 ~rd_want:imm ~pc_want:next;
+      check (Instr.Auipc (3, imm)) ~x1:0L ~rd:3
+        ~rd_want:(Int64.add arm_pc imm) ~pc_want:next)
+    [ 0L; 0x1000L; 0x7FFF_F000L; -0x1000L; -0x8000_0000L ];
+  List.iter
+    (fun off ->
+      check (Instr.Jal (3, off)) ~x1:0L ~rd:3 ~rd_want:next
+        ~pc_want:(Int64.add arm_pc off))
+    [ 0x40L; -0x100L ];
+  let at k = Int64.add arm_pc k in
+  (* (rd, off, x1, target): the low bit of x1 + off is cleared *)
+  List.iter
+    (fun (rd, off, x1, target) ->
+      check (Instr.Jalr (rd, 1, off)) ~x1 ~rd ~rd_want:next ~pc_want:target)
+    [
+      (3, 0L, at 0x40L, at 0x40L);
+      (3, -4L, at 0x44L, at 0x40L);
+      (3, 0L, at 0x41L, at 0x40L);
+      (3, 1L, at 0x40L, at 0x40L);
+      (1, 8L, at 0x38L, at 0x40L);
+    ];
+  (* misaligned targets trap to mtvec with the target in mtval *)
+  check_misaligned (Instr.Jal (3, 2L)) ~x1:0L ~rd:3 ~target:(at 2L);
+  check_misaligned (Instr.Jalr (3, 1, 0L)) ~x1:(at 0x42L) ~rd:3
+    ~target:(at 0x42L);
+  check_misaligned (Instr.Jalr (1, 1, 2L)) ~x1:(at 0x40L) ~rd:1
+    ~target:(at 0x42L);
+  check_misaligned
+    (Instr.Branch (Instr.Beq, 0, 0, 6L))
+    ~x1:0L ~rd:3 ~target:(at 6L)
+
+(* ------------------------------------------------------------------ *)
 (* Determinism: fleet digests and cross-engine replay                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -445,6 +605,13 @@ let () =
             test_vectors_replay;
           Alcotest.test_case "step-count equivalence (all budgets)" `Quick
             test_step_count_equivalence;
+        ] );
+      ( "arms",
+        [
+          Alcotest.test_case "alu forms match Alu" `Quick test_alu_arms;
+          Alcotest.test_case "branches match Alu.branch_taken" `Quick
+            test_branch_arms;
+          Alcotest.test_case "lui, auipc, jal, jalr" `Quick test_jump_arms;
         ] );
       ( "invalidation",
         [

@@ -634,8 +634,8 @@ module Config = Miralis.Config
 let schedule_seeds = [ 0; 1; 2 ]
 
 (* Run a system to completion under a seeded random schedule, stopping
-   early once the policy has flagged a violation. Picks of halted
-   harts are remapped to the next runnable one. *)
+   early once the policy has flagged a violation. Picks are reduced
+   modulo the hart count. *)
 let run_random_schedule sys ~label ~max_steps =
   let m = sys.Setup.machine in
   let nharts = Array.length m.Machine.harts in
@@ -647,15 +647,10 @@ let run_random_schedule sys ~label ~max_steps =
   let pick m =
     if mir.Monitor.violation <> None then raise Exit;
     let h0 = sched.Sched.pick m ~step:!step ~last:!last in
-    let h = ref (((h0 mod nharts) + nharts) mod nharts) in
-    let tries = ref 0 in
-    while !tries < nharts && m.Machine.harts.(!h).Hart.halted do
-      h := (!h + 1) mod nharts;
-      incr tries
-    done;
+    let h = ((h0 mod nharts) + nharts) mod nharts in
     incr step;
-    last := !h;
-    !h
+    last := h;
+    h
   in
   try Machine.run_scheduled m ~max_steps ~pick with Exit -> ()
 
