@@ -543,6 +543,64 @@ let test_jump_arms () =
     (Instr.Branch (Instr.Beq, 0, 0, 6L))
     ~x1:0L ~rd:3 ~target:(at 6L)
 
+(* Loads and stores at every width against the ISA's formulas: a load
+   reads the low [8w] bits at rs1 + imm and sign- or zero-extends them;
+   a store writes the low [w] bytes of rs2 there and no other byte. The
+   loaded doublewords have the sign bit of every width set, then clear. *)
+let test_load_store_arms () =
+  let m = Machine.create small_config in
+  let h = m.Machine.harts.(0) in
+  let data = Int64.add small_config.Machine.ram_base 0x800L in
+  let next = Int64.add arm_pc 4L in
+  let mem off = Option.get (Machine.phys_load m (Int64.add data off) 8) in
+  let widths = Instr.[ (B, 1); (H, 2); (W, 4); (D, 8) ] in
+  let extend v bytes ~unsigned =
+    let sh = 64 - (8 * bytes) in
+    let up = Int64.shift_left v sh in
+    if unsigned then Int64.shift_right_logical up sh
+    else Int64.shift_right up sh
+  in
+  List.iter
+    (fun word ->
+      ignore (Machine.phys_store m data 8 word);
+      List.iter
+        (fun (width, bytes) ->
+          List.iter
+            (fun (unsigned, rd) ->
+              let instr =
+                Instr.Load { width; unsigned; rd; rs1 = 1; imm = -8L }
+              in
+              let x1 = Int64.add data 8L in
+              step_arm m h instr [ (1, x1); (3, 0x5A5A_5A5A_5A5A_5A5AL) ];
+              expect instr (x1, 0L) (Instr.reg_name rd) (Hart.get h rd)
+                (extend word bytes ~unsigned);
+              expect instr (x1, 0L) "pc" h.Hart.pc next)
+            (if width = Instr.D then [ (false, 3); (false, 1) ]
+             else [ (false, 3); (true, 3); (false, 1) ]))
+        widths)
+    [ 0x8899_AABB_CCDD_EEFFL; 0x0102_0304_0506_0708L ];
+  let background = 0x0F1E_2D3C_4B5A_6978L in
+  let value = 0xF0E1_D2C3_B4A5_9687L in
+  List.iter
+    (fun (width, bytes) ->
+      List.iter
+        (fun off ->
+          ignore (Machine.phys_store m (Int64.add data off) 8 background))
+        [ 0L; 8L; 16L ];
+      let instr = Instr.Store { width; rs2 = 2; rs1 = 1; imm = 8L } in
+      step_arm m h instr [ (1, data); (2, value) ];
+      let kept =
+        if bytes = 8 then 0L else Int64.shift_left (-1L) (8 * bytes)
+      in
+      expect instr (data, value) "mem[x1 + 8]" (mem 8L)
+        (Int64.logor (Int64.logand background kept)
+           (Int64.logand value (Int64.lognot kept)));
+      expect instr (data, value) "mem[x1]" (mem 0L) background;
+      expect instr (data, value) "mem[x1 + 16]" (mem 16L) background;
+      expect instr (data, value) "x2" (Hart.get h 2) value;
+      expect instr (data, value) "pc" h.Hart.pc next)
+    widths
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: fleet digests and cross-engine replay                  *)
 (* ------------------------------------------------------------------ *)
@@ -612,6 +670,7 @@ let () =
           Alcotest.test_case "branches match Alu.branch_taken" `Quick
             test_branch_arms;
           Alcotest.test_case "lui, auipc, jal, jalr" `Quick test_jump_arms;
+          Alcotest.test_case "loads and stores" `Quick test_load_store_arms;
         ] );
       ( "invalidation",
         [
